@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck check check-deep bench artifacts examples trace-demo serve all clean
+.PHONY: install test lint typecheck check check-deep bench artifacts examples trace-demo all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -47,11 +47,6 @@ artifacts:
 trace-demo:
 	$(PYTHON) -m repro trace crc --out traces
 	$(PYTHON) -m repro trace route --packets 200 --out traces
-
-# Campaign service: coordinator + 2 supervised local workers sharing
-# .repro-cache (see docs/SERVICE.md; submit with repro.api.submit_campaign).
-serve:
-	PYTHONPATH=src $(PYTHON) -m repro serve --workers 2 --cache-dir .repro-cache
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -1,11 +1,10 @@
 """``python -m repro`` entry point.
 
 Artifact regeneration, tracing, and linting dispatch to the harness CLI
-(:mod:`repro.harness.cli`).  The ``check``, ``serve``, and ``work``
-subcommands dispatch here, at the package root, because the
-verification oracle (:mod:`repro.oracle`) and the campaign service
-(:mod:`repro.service`) sit *above* the harness in the layering DAG --
-the harness CLI cannot import them.
+(:mod:`repro.harness.cli`).  The ``check`` subcommand dispatches here,
+at the package root, because the verification oracle
+(:mod:`repro.oracle`) sits *above* the harness in the layering DAG --
+the harness CLI cannot import it.
 """
 
 import sys
@@ -18,12 +17,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv and argv[0] == "check":
         from repro.oracle.cli import main as check_main
         return check_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.service.cli import main_serve
-        return main_serve(argv[1:])
-    if argv and argv[0] == "work":
-        from repro.service.cli import main_work
-        return main_work(argv[1:])
     from repro.harness.cli import main as harness_main
     return harness_main(argv)
 

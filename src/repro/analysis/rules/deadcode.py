@@ -15,11 +15,10 @@ classes, and methods of ``repro.*`` that are referenced *nowhere*:
   ``only=["fault-monotonic"]``);
 * **exempt** definitions: dunders (protocol dispatch), decorated
   definitions (``@register_*`` registries, ``@property``,
-  ``@dataclass`` -- the decorator is the use), ``visit_*`` and ``do_*``
-  methods plus ``log_message`` (``ast.NodeVisitor`` and
-  ``http.server.BaseHTTPRequestHandler`` dispatch reflectively by
-  name), and names listed in their module's ``__all__`` (an export *is*
-  the use; the api-drift rule separately checks exports resolve).
+  ``@dataclass`` -- the decorator is the use), ``visit_*`` methods
+  (``ast.NodeVisitor`` dispatches reflectively by name), and names
+  listed in their module's ``__all__`` (an export *is* the use; the
+  api-drift rule separately checks exports resolve).
 
 Matching is by name, deliberately over-approximate: a method is live if
 *any* attribute access anywhere uses its name.  The rule therefore
@@ -82,10 +81,6 @@ def _is_exempt(name: str, decorators: "tuple[str, ...]") -> bool:
     if decorators:
         return True
     if name.startswith("visit_"):
-        return True
-    # http.server dispatches request handlers reflectively (do_GET,
-    # do_POST) and calls log_message on every request.
-    if name.startswith("do_") or name == "log_message":
         return True
     return False
 

@@ -58,35 +58,27 @@ LAYER_DAG: "dict[str, frozenset[str]]" = {
     # oracle that verifies it.
     "replay": frozenset({"net", "mem", "cpu", "core", "apps", "harness",
                          "util"}),
-    # The campaign service orchestrates engines and stores across
-    # processes: it drives the harness (and everything below) and reads
-    # telemetry counters, but the harness must never import it back --
-    # workers reach the service only over HTTP, never by import.
-    "service": frozenset({"net", "mem", "cpu", "core", "apps",
-                          "telemetry", "traffic", "system", "harness",
-                          "util"}),
     # The verification oracle treats the simulator as the system under
-    # test: it drives the harness and the service (and everything below
-    # them) but nothing may import it except the package root and the
-    # facade.
+    # test: it drives the harness and the replay backend (and everything
+    # below them) but nothing may import it except the package root and
+    # the facade.
     "oracle": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
                          "traffic", "system", "harness", "replay",
-                         "service", "util"}),
+                         "util"}),
     # The public facade (repro/api.py) sits beside the package root: it
     # re-exports the supported surface and may therefore reach anything.
     "api": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
                       "traffic", "system", "harness", "replay", "analysis",
-                      "service", "oracle", "util"}),
+                      "oracle", "util"}),
     "repro": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
                         "traffic", "system", "harness", "replay",
-                        "analysis", "service", "oracle", "util", "api"}),
+                        "analysis", "oracle", "util", "api"}),
 }
 
 #: Layers that may import :mod:`repro.telemetry` (the instrumented
 #: consumers); implied by LAYER_DAG but named for the error message.
 TELEMETRY_CONSUMERS = frozenset({"mem", "traffic", "system", "harness",
-                                 "service", "oracle", "telemetry", "api",
-                                 "repro"})
+                                 "oracle", "telemetry", "api", "repro"})
 
 
 def _imported_repro_modules(context: FileContext,
@@ -131,7 +123,7 @@ class LayeringRule(Rule):
     severity = "error"
     short = ("imports must follow the layer DAG "
              "(util < net/core < cpu/telemetry < mem < apps < "
-             "system < harness < replay/service < oracle); telemetry "
+             "system < harness < replay < oracle); telemetry "
              "only from its consumers")
     rationale = ("a layered fault surface keeps every simulated access "
                  "auditable, and telemetry stays non-perturbing when "

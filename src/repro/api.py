@@ -18,7 +18,7 @@ code that wants stability across versions should import from
     engine = CampaignEngine(store=ResultStore(".repro-cache"))
     results = engine.run([ExperimentConfig(app="route", cycle_time=0.5)])
 
-The surface covers five layers of use:
+The surface covers eight layers of use:
 
 * **single runs** -- :func:`run` (the unified entry point: pick a
   backend, optionally attach a tracer or engine), its config/result
@@ -35,15 +35,6 @@ The surface covers five layers of use:
   :func:`trace_store` / :func:`set_trace_store`;
 * **sweeps and campaigns** -- :func:`run_experiments`, :func:`sweep`,
   :class:`CampaignEngine`, :func:`default_engine`, :func:`map_parallel`;
-* **the campaign service** -- the distributed sweep machinery behind
-  ``python -m repro serve`` / ``python -m repro work`` (see
-  docs/SERVICE.md): the client verbs :func:`submit_campaign`,
-  :func:`poll_campaign`, :func:`fetch_results` (plus
-  :class:`ServiceClient` / :class:`ServiceError` for custom flows),
-  the embeddable server (:class:`CampaignService`,
-  :func:`start_service`), the sharded queue (:class:`WorkQueue`,
-  :func:`shard_sweep`), and the worker loops (:func:`run_worker`,
-  :func:`run_service_sweep`);
 * **persistence** -- :class:`ResultStore`, :func:`config_key`,
   :func:`canonical_json`, :func:`save_results`, :func:`load_results`;
 * **policies and systems** -- the paper's recovery policies,
@@ -132,19 +123,6 @@ from repro.replay import (
     trace_key,
     trace_store,
 )
-from repro.service import (
-    CampaignService,
-    ServiceClient,
-    ServiceError,
-    WorkQueue,
-    fetch_results,
-    poll_campaign,
-    run_service_sweep,
-    run_worker,
-    shard_sweep,
-    start_service,
-    submit_campaign,
-)
 from repro.system.linerate import (
     ScenarioSeries,
     ServiceModel,
@@ -166,7 +144,6 @@ __all__ = [
     "BACKEND_NAMES",
     "CODE_VERSION",
     "CampaignEngine",
-    "CampaignService",
     "CorrelatedFaultInjector",
     "CorrelatedFaultMap",
     "DEFAULT_FAULT_SCALE",
@@ -190,8 +167,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "Scenario",
     "ScenarioSeries",
-    "ServiceClient",
-    "ServiceError",
     "ServiceModel",
     "SweepPoint",
     "THREE_STRIKE",
@@ -204,18 +179,15 @@ __all__ = [
     "Tracer",
     "TrafficBucket",
     "Violation",
-    "WorkQueue",
     "canonical_json",
     "check_invariants",
     "config_key",
     "default_engine",
-    "fetch_results",
     "load_results",
     "make_fault_map",
     "make_injector",
     "map_parallel",
     "policy_by_name",
-    "poll_campaign",
     "record_trace",
     "register_backend",
     "register_invariant",
@@ -228,16 +200,11 @@ __all__ = [
     "run_experiments",
     "run_fuzz",
     "run_multicore",
-    "run_service_sweep",
-    "run_worker",
     "save_results",
     "scenario_loss_curve",
     "scenario_stream",
     "set_trace_store",
-    "shard_sweep",
     "simulate_scenario",
-    "start_service",
-    "submit_campaign",
     "sweep",
     "trace_key",
     "trace_store",

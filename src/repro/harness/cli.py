@@ -6,7 +6,6 @@ Usage::
     python -m repro fig5
     python -m repro fig9a --packets 300 --seeds 7,11,23
     python -m repro all --max-workers 4 --cache-dir .repro-cache
-    python -m repro fig9a --resume
     python -m repro fig12b --injector geometric
     python -m repro fig9a --backend replay
     python -m repro trace route --packets 200
@@ -29,8 +28,8 @@ must not import it.
 Caching: ``--cache-dir PATH`` routes every simulation through the
 content-addressed result store (see :mod:`repro.harness.store`), so a
 repeated or interrupted invocation re-runs only configs the store does
-not already hold.  ``--resume`` is the shorthand that re-attaches the
-default cache directory; ``--no-cache`` forces a cold run.  A one-line
+not already hold: resuming an interrupted sweep is re-running the same
+command.  Without ``--cache-dir`` a run is uncached.  A one-line
 campaign summary (``configs= cache_hits= simulated= chunks=``) is
 printed to stderr whenever caching is active -- CI asserts
 ``simulated=0`` on the second of two identical runs.
@@ -54,10 +53,6 @@ from repro.harness.engine import CampaignEngine
 from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore
 from repro.mem.faults import INJECTOR_NAMES
-
-#: Cache directory used by ``--resume`` when ``--cache-dir`` is absent.
-DEFAULT_CACHE_DIR = ".repro-cache"
-
 
 def _edf_renderer(app: str, figure_name: str):
     def render(packets: int, seeds: "tuple[int, ...]",
@@ -298,14 +293,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="content-addressed result store: reuse any "
                              "result already present, persist the rest "
                              "(atomic per-chunk writes)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep: shorthand for "
-                             f"--cache-dir {DEFAULT_CACHE_DIR} when no "
-                             "cache dir is given (only missing configs "
-                             "re-run)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="force recomputation; do not read or write "
-                             "any result store")
     parser.add_argument("--injector", choices=sorted(INJECTOR_NAMES),
                         default="reference",
                         help="fault-sampling implementation: 'reference' "
@@ -318,11 +305,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "tiers) at the same marginal rate; see "
                              "EXPERIMENTS.md for comparability)")
     args = parser.parse_args(argv)
-    if args.no_cache and (args.cache_dir or args.resume):
-        parser.error("--no-cache conflicts with --cache-dir/--resume")
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.resume:
-        cache_dir = DEFAULT_CACHE_DIR
     seeds = tuple(int(part) for part in args.seeds.split(","))
     names = sorted(renderers) if args.experiment == "all" else [args.experiment]
     # Two fan-out levels exist: across experiment ids and across one
@@ -330,7 +312,7 @@ def main(argv: "list[str] | None" = None) -> int:
     # parallelism (chunk-level for a single id, job-level for 'all').
     job_workers = args.max_workers if len(names) > 1 else 1
     engine_workers = args.max_workers if len(names) == 1 else 1
-    jobs = [(name, args.packets, seeds, cache_dir, engine_workers,
+    jobs = [(name, args.packets, seeds, args.cache_dir, engine_workers,
              args.injector, args.backend)
             for name in names]
     totals: "dict[str, int]" = {}
@@ -340,12 +322,13 @@ def main(argv: "list[str] | None" = None) -> int:
         print()
         for counter, value in counters.items():
             totals[counter] = totals.get(counter, 0) + value
-    if cache_dir is not None:
+    if args.cache_dir is not None:
         summary = " ".join(
             f"{name.split('.', 1)[1]}={totals.get(name, 0)}"
             for name in ("campaign.configs", "campaign.cache_hits",
                          "campaign.simulated", "campaign.chunks"))
-        print(f"campaign: {summary} (cache: {cache_dir})", file=sys.stderr)
+        print(f"campaign: {summary} (cache: {args.cache_dir})",
+              file=sys.stderr)
     return 0
 
 

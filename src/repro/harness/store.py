@@ -24,8 +24,7 @@ Chunk files are written atomically -- serialized to a ``.tmp-*``
 sibling in the same directory, then ``os.replace``d into place -- so a
 killed campaign never leaves a half-written entry visible.  The temp
 name is unique per writer (pid + a process-local sequence number):
-multiple engines sharing one cache directory -- the campaign service
-runs one worker process per core against a single store -- must never
+several engine processes sharing one ``--cache-dir`` must never
 interleave bytes into a shared temp file, even when they race to
 persist the *same* chunk.  A chunk's final name is derived from the
 keys it contains, which keeps rewrites of the same configs idempotent:
@@ -63,8 +62,8 @@ CODE_VERSION = "clumsy-repro-v5"
 _CHUNK_DIGEST_LENGTH = 12
 
 #: Process-local sequence for temp-file uniqueness: two stores (or two
-#: threads of one service) in the same process writing the same chunk
-#: concurrently must not share a temp path either.
+#: threads) in the same process writing the same chunk concurrently
+#: must not share a temp path either.
 _TEMP_SEQUENCE = itertools.count()
 
 
@@ -231,9 +230,9 @@ class ResultStore:
         """A writer-unique temp sibling for the chunk named ``digest``.
 
         Suffixing pid + a process-local counter guarantees no two
-        writers -- across processes (service workers) or threads (one
-        service's handlers) -- ever open the same temp file, closing the
-        interleaved-write hazard a digest-only name had.  Residue from a
+        writers -- engine processes sharing one ``--cache-dir``, or
+        threads of one process -- ever open the same temp file, closing
+        the interleaved-write hazard a digest-only name had.  Residue from a
         killed writer is invisible to :meth:`refresh` (it only globs
         ``*.jsonl``) and gets overwritten-by-rename never, reused never.
         """

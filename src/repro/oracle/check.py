@@ -7,7 +7,7 @@ configured applications:
    recovery policies, checked against every registered metamorphic
    invariant (:mod:`repro.oracle.invariants`);
 2. the differential twins -- one representative config per app through
-   the workers/cache/injector/faultmap/replay/service path pairs
+   the workers/cache/injector/faultmap/replay path pairs
    (:mod:`repro.oracle.differential`);
 3. a seeded config fuzz -- random-walk configs probed with the
    per-result invariants, failures shrunk and filed

@@ -42,14 +42,6 @@ field.  The path pairs cover the harness' riskiest seams:
     legitimately differs), and the faulted config must agree under the
     same chi-square/KS machinery as the injector pair (replay samples
     fault sites directly instead of executing them).
-``service``
-    serial engine vs the campaign service pipeline (the PR 9 seam):
-    the same sweep submitted through
-    :func:`repro.service.run_service_sweep` -- sharding, leasing,
-    per-config worker persistence, store-mediated result assembly --
-    must return results ``repr``-identical to a direct
-    :meth:`CampaignEngine.run`.  Queueing, chunking, and retry
-    machinery can never leak into a result.
 
 Every disagreement is a typed :class:`Divergence` record; an empty list
 is the oracle's "these paths agree" verdict.
@@ -60,7 +52,7 @@ from __future__ import annotations
 import random
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.fault_model import FaultModel
 from repro.harness.config import ExperimentConfig
@@ -75,12 +67,11 @@ from repro.harness.stats import (
 from repro.harness.store import ResultStore
 from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES, FaultMap
 from repro.mem.faults import make_injector
-from repro.service import run_service_sweep
 from repro.telemetry.metrics import CounterSet
 
 #: The execution-path pairs ``run_differential`` exercises, in order.
 DIFFERENTIAL_PATHS = ("workers", "cache", "injector", "faultmap",
-                      "replay", "service")
+                      "replay")
 
 #: Synthetic uniform-address stream driven through the faultmap twin's
 #: injector pair (per mapped injector).
@@ -99,10 +90,6 @@ FAULTMAP_TWIN_WAYS = 2
 #: cell equally and the mean-1 contract holds exactly.
 FAULTMAP_TWIN_SPAN = 24576
 
-#: Configs per service chunk in the service twin: small enough that a
-#: few replica seeds still exercise multi-chunk sharding.
-SERVICE_TWIN_CHUNK_SIZE = 2
-
 #: Significance level of the statistical comparisons.  0.001 keeps the
 #: all-apps quick check's family-wise false-alarm rate well under 1%.
 STATISTICAL_ALPHA = 0.001
@@ -116,7 +103,7 @@ MIN_FAULTS_FOR_CHI2 = 20
 class Divergence:
     """One field on which two execution paths disagreed."""
 
-    path: str        #: pair (``workers``/``cache``/``injector``/``replay``)
+    path: str        #: workers/cache/injector/faultmap/replay
     config: str      #: config label the twin ran
     field: str       #: result field or statistic name
     kind: str        #: ``exact`` or ``statistical``
@@ -411,39 +398,6 @@ def _replay_twin(config: ExperimentConfig,
     return divergences
 
 
-def _service_twin(
-    config: ExperimentConfig,
-    seeds: "tuple[int, ...]",
-    sweep: "Optional[Callable[..., List[ExperimentResult]]]" = None,
-) -> "list[Divergence]":
-    """Serial engine vs the campaign service pipeline, field by field.
-
-    ``sweep`` defaults to :func:`repro.service.run_service_sweep`; the
-    tamper meta-test injects a corrupting stand-in to prove this twin
-    fires.  A chunk size of :data:`SERVICE_TWIN_CHUNK_SIZE` forces the
-    replica sweep across multiple chunks, so sharding and result
-    reassembly are genuinely on the comparison path.
-    """
-    configs = _replicas(config, seeds)
-    serial = CampaignEngine(max_workers=1).run(configs)
-    runner = sweep if sweep is not None else run_service_sweep
-    divergences: "list[Divergence]" = []
-    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
-        serviced = runner(configs, tmp,
-                          chunk_size=SERVICE_TWIN_CHUNK_SIZE)
-    if len(serviced) != len(serial):
-        divergences.append(Divergence(
-            path="service", config=config.label, field="result_count",
-            kind="exact", left=str(len(serial)),
-            right=str(len(serviced)),
-            detail="the service must return one result per submitted "
-                   "config, in submit order"))
-        return divergences
-    for direct, via_service in zip(serial, serviced):
-        divergences.extend(diff_results("service", direct, via_service))
-    return divergences
-
-
 def run_differential(config: ExperimentConfig,
                      seeds: "tuple[int, ...]" = (7, 11, 23),
                      workers: int = 2,
@@ -476,8 +430,6 @@ def run_differential(config: ExperimentConfig,
             divergences.extend(_injector_twin(config, seeds))
         elif path == "faultmap":
             divergences.extend(_faultmap_twin(config, seeds))
-        elif path == "service":
-            divergences.extend(_service_twin(config, seeds))
         else:
             divergences.extend(_replay_twin(config, seeds))
     if counters is not None:

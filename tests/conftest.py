@@ -1,9 +1,6 @@
-"""Shared fixtures: simulation environments with controllable fault setup,
-plus the in-process campaign-service fixture the service suites use."""
+"""Shared fixtures: simulation environments with controllable fault setup."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -16,7 +13,6 @@ from repro.mem.allocator import BumpAllocator
 from repro.mem.faults import FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
-from repro.service import start_service
 
 #: Allocation base used by test environments (0 stays a null pointer).
 TEST_ALLOCATION_BASE = 0x1000
@@ -61,61 +57,3 @@ def _fresh_golden_cache():
     yield
     clear_golden_cache()
 
-
-class ServiceUnderTest:
-    """One booted in-process campaign service (see ``campaign_service``).
-
-    ``url`` is the live HTTP endpoint (ephemeral port), ``service`` the
-    underlying :class:`repro.service.CampaignService` for white-box
-    assertions (queue stats, ``service.*`` counters), ``cache_dir`` the
-    store directory workers should share.
-    """
-
-    def __init__(self, server, service, cache_dir):
-        host, port = server.server_address[:2]
-        self.server = server
-        self.service = service
-        self.url = f"http://{host}:{port}"
-        self.cache_dir = str(cache_dir)
-
-    def counter(self, name: str) -> int:
-        """Shorthand for one ``service.*`` telemetry counter."""
-        return self.service.counters.get(name)
-
-
-@pytest.fixture
-def make_service(tmp_path):
-    """Factory fixture: boot in-process services on ephemeral ports.
-
-    Each call returns a :class:`ServiceUnderTest` serving from a fresh
-    subdirectory of ``tmp_path`` (pass ``cache_dir=`` to share a store
-    between services); keyword options forward to
-    :class:`repro.service.CampaignService` (``chunk_size``,
-    ``lease_timeout``, ``max_retries``, ``max_pending``, ``clock``).
-    Servers are shut down at teardown.
-    """
-    booted = []
-
-    def boot(cache_dir=None, **options):
-        if cache_dir is None:
-            cache_dir = tmp_path / f"service-{len(booted)}"
-        server, service = start_service(port=0, cache_dir=str(cache_dir),
-                                        **options)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        under_test = ServiceUnderTest(server, service, cache_dir)
-        booted.append((server, thread))
-        return under_test
-
-    yield boot
-    for server, thread in booted:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-@pytest.fixture
-def campaign_service(make_service):
-    """One booted in-process campaign service with default knobs."""
-    return make_service()

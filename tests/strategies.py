@@ -11,7 +11,7 @@ every accessor width -- instead of each file re-deriving them inline.
 from hypothesis import strategies as st
 
 from repro.core.constants import RELATIVE_CYCLE_LEVELS
-from repro.core.recovery import NO_DETECTION, TWO_STRIKE
+from repro.core.recovery import TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.mem.faults import INJECTOR_NAMES
 from repro.oracle.fuzz import CONFIG_SPACE, build_config
@@ -33,22 +33,6 @@ def make_config(app="tl", seed=3, **overrides):
                     policy=TWO_STRIKE, fault_scale=30.0)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def small_sweep(apps=("tl", "md5"), cycle_times=(1.0, 0.5),
-                policies=(NO_DETECTION, TWO_STRIKE), seed=3):
-    """A miniature figs 9-12-shaped sweep: app x Cr x policy cartesian.
-
-    The same shape the paper's fallibility/throughput figures sweep,
-    scaled down to stay cheap (8 configs at 25 packets by default) --
-    the campaign-service lifecycle tests submit exactly this and compare
-    against a direct :class:`CampaignEngine` run.
-    """
-    return [make_config(app=app, seed=seed, cycle_time=cycle_time,
-                        policy=policy)
-            for app in apps
-            for cycle_time in cycle_times
-            for policy in policies]
 
 
 def experiment_configs():

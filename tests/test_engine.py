@@ -1,6 +1,11 @@
 """CampaignEngine: cache-first sweeps, resume, parallelism, and speedup."""
 
+import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +19,44 @@ from repro.mem.faults import INJECTOR_NAMES
 from tests.strategies import make_config
 
 
+#: Repository root: ``python -m repro`` subprocesses run from here, so a
+#: relative ``PYTHONPATH=src`` inherited from the test run still resolves.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Configs in one ``fig9a --seeds 7,11`` sweep: 4 schemes x 5 clock
+#: settings x 2 seeds.
+FIG9A_CONFIGS = 40
+
+#: Directory poll while waiting for a sweep's first chunk: the bound is
+#: an iteration count (60 s), so no wall clock is read.
+POLL_SECONDS = 0.01
+POLL_LIMIT = 6000
+
+
 def sweep_configs(count=6):
     return [make_config(seed=seed) for seed in range(1, count + 1)]
+
+
+def start_fig9a(cache_dir):
+    """One ``python -m repro fig9a`` subprocess persisting to
+    ``cache_dir``."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "fig9a", "--packets", "20",
+         "--seeds", "7,11", "--cache-dir", str(cache_dir)],
+        cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def finish(process):
+    """Wait for a sweep subprocess; return (stdout bytes, simulated=)."""
+    stdout, stderr = process.communicate(timeout=300)
+    assert process.returncode == 0, stderr.decode()
+    return stdout, int(re.search(rb"simulated=(\d+)", stderr).group(1))
+
+
+def chunk_files(cache_dir):
+    """(name, bytes) of every chunk file -- the byte-identity probe."""
+    return sorted((path.name, path.read_bytes())
+                  for path in Path(cache_dir).glob("chunk-*.jsonl"))
 
 
 class TestColdVsWarm:
@@ -214,3 +255,50 @@ class TestFigureRegeneration:
         assert cold_elapsed >= 5 * warm_elapsed, (
             f"warm cache too slow: cold={cold_elapsed:.3f}s "
             f"warm={warm_elapsed:.3f}s")
+
+
+class TestSharedCacheDir:
+    """Several engine processes over one ``--cache-dir`` (DESIGN.md §9).
+
+    Real ``python -m repro`` subprocesses, because concurrent writers and
+    SIGKILL -- no atexit, no finally, mid-write death -- only exist
+    across a process boundary.
+    """
+
+    def test_two_concurrent_processes_share_one_store(self, tmp_path):
+        """Both sweeps simulate everything (the store dedupes results,
+        not work), agree byte for byte, and leave one clean store."""
+        first, second = start_fig9a(tmp_path), start_fig9a(tmp_path)
+        first_out, _ = finish(first)
+        second_out, _ = finish(second)
+        assert first_out == second_out
+        store = ResultStore(tmp_path)
+        assert store.corrupt_entries == 0
+        assert len(store) == FIG9A_CONFIGS
+        assert not list(tmp_path.glob(".tmp-*"))
+        warm_out, warm_simulated = finish(start_fig9a(tmp_path))
+        assert warm_simulated == 0
+        assert warm_out == first_out
+
+    def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
+        """Resume is re-running the same command: a sweep killed after
+        its first chunk simulates only what the store lacks and ends
+        with the same output and chunk files as an uninterrupted run."""
+        clean_dir, killed_dir = tmp_path / "clean", tmp_path / "killed"
+        clean_out, _ = finish(start_fig9a(clean_dir))
+        doomed = start_fig9a(killed_dir)
+        for _ in range(POLL_LIMIT):
+            if list(killed_dir.glob("chunk-*.jsonl")):
+                break
+            assert doomed.poll() is None, "sweep exited before any chunk"
+            time.sleep(POLL_SECONDS)
+        doomed.send_signal(signal.SIGKILL)
+        doomed.communicate(timeout=30)
+        persisted = len(ResultStore(killed_dir))
+        assert 0 < persisted < FIG9A_CONFIGS
+        resumed_out, resumed_simulated = finish(start_fig9a(killed_dir))
+        assert resumed_out == clean_out
+        assert resumed_simulated == FIG9A_CONFIGS - persisted
+        # A kill can leave a .tmp-* sibling; only chunk files count.
+        assert chunk_files(killed_dir) == chunk_files(clean_dir)
+        assert ResultStore(killed_dir).corrupt_entries == 0

@@ -183,49 +183,6 @@ class TestDifferential:
         assert all(d.path == "faultmap" for d in divergences)
         assert any(d.field == "marginal_fault_rate" for d in divergences)
 
-    def test_service_twin_is_a_differential_path(self):
-        assert "service" in DIFFERENTIAL_PATHS
-
-    def test_service_twin_clean_on_small_config(self):
-        counters = CounterSet()
-        divergences = run_differential(make_config(), seeds=(7, 11),
-                                       paths=("service",),
-                                       counters=counters)
-        assert divergences == []
-        assert counters.get("oracle.differential.paths") == 1
-
-    def test_service_twin_catches_tampered_worker(self):
-        """Falsifiability: a worker pipeline that corrupts one persisted
-        field is caught by the service twin's exact diff."""
-        from repro.oracle.differential import _service_twin
-        from repro.service import run_service_sweep
-
-        def tampered_sweep(configs, cache_dir, chunk_size=2):
-            results = run_service_sweep(configs, cache_dir,
-                                        chunk_size=chunk_size)
-            results[-1] = replace(
-                results[-1],
-                injected_faults=results[-1].injected_faults + 1)
-            return results
-
-        divergences = _service_twin(make_config(), (7, 11),
-                                    sweep=tampered_sweep)
-        assert any(d.field == "injected_faults" for d in divergences)
-        assert all(d.path == "service" for d in divergences)
-
-    def test_service_twin_catches_dropped_results(self):
-        """A service that loses a result (wrong count) diverges too."""
-        from repro.oracle.differential import _service_twin
-        from repro.service import run_service_sweep
-
-        def lossy_sweep(configs, cache_dir, chunk_size=2):
-            return run_service_sweep(configs, cache_dir,
-                                     chunk_size=chunk_size)[:-1]
-
-        divergences = _service_twin(make_config(), (7, 11),
-                                    sweep=lossy_sweep)
-        assert [d.field for d in divergences] == ["result_count"]
-
 
 class TestInvariants:
     def test_clean_sweep_passes(self, sweep_results):

@@ -212,11 +212,11 @@ class TestResultStore:
 
 
 class TestConcurrentWriters:
-    """Regression: two engines sharing one cache dir must not collide.
+    """Regression: engine processes sharing one cache dir must not collide.
 
-    The hazard the campaign service exposed: temp names derived only
-    from the chunk digest meant two writers persisting the same chunk
-    shared one temp file and could interleave bytes.  Temp names are now
+    The hazard: temp names derived only from the chunk digest meant two
+    writers persisting the same chunk shared one temp file and could
+    interleave bytes.  Temp names are now
     unique per writer (pid + process-local sequence); the final
     key-derived names keep racing rewrites idempotent.
     """
@@ -258,9 +258,9 @@ class TestConcurrentWriters:
             assert repr(reopened.get_config(result.config)) == repr(result)
 
     def test_concurrent_processes_hammering_one_store(self, tmp_path):
-        """Whole-process concurrency (the service's real shape): N
-        processes persist overlapping chunks into one directory; every
-        entry must decode afterwards."""
+        """Whole-process concurrency (several engines on one
+        ``--cache-dir``): N processes persist overlapping chunks into
+        one directory; every entry must decode afterwards."""
         from concurrent.futures import ProcessPoolExecutor
 
         results = self.make_results(seeds=(1, 2, 3))
@@ -284,5 +284,5 @@ def _hammer_store(args):
     for _ in range(5):
         store.put_many(results)      # the combined chunk
         for result in results:
-            store.put(result)        # per-result chunks (service shape)
+            store.put(result)        # per-result chunks
     return len(results)

@@ -10,14 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# reprolint: AST-based invariant linter (see docs/LINTING.md).  Covers
-# src/repro with the full rule set and tests/ with the relaxed
-# determinism-only profile (no wall-clock, no unseeded randomness).
-# --project additionally builds the import-resolved call graph and runs
-# the project-scope rules (seed-provenance, hot-path-alloc, dead-code,
-# api-drift) plus the cross-module resolution checks.
+# reprolint: per-file AST invariant linter over src/repro (see
+# docs/LINTING.md).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint --project
+	PYTHONPATH=src $(PYTHON) -m repro lint
 
 # mypy: strict for repro.analysis, repro.telemetry, repro.oracle, and
 # repro.traffic; permissive elsewhere (configured in pyproject.toml).

@@ -5,81 +5,41 @@ bit-determinism per seed (golden vs. fault-injected comparison), a
 data plane that touches simulated state only through ``MemView``, a
 layered import DAG that keeps telemetry non-perturbing, module
 encapsulation, and float-safe metric comparisons.  ``repro.analysis``
-turns each into a static rule over the syntax tree.
-
-Per-file rules are joined by project-scope rules (``--project``): a
-symbol-table and call-graph pass over the whole tree
-(:mod:`repro.analysis.project`) feeds interprocedural rules --
-seed-provenance taint, hot-path allocation, dead code, api drift --
-that per-file analysis provably cannot express.
+turns each into a static rule over one file's syntax tree.
 
 Usage::
 
-    python -m repro lint                # src profile + tests profile
-    python -m repro lint --project      # + whole-program rules
+    python -m repro lint                # lint src/repro
     python -m repro lint --format json  # machine-readable report
     python -m repro lint --list-rules   # rule ids and rationales
 
 The subsystem is standalone by design -- it imports nothing from the
 simulator, so the linter can never be perturbed by the code it audits.
-See docs/LINTING.md for the rule catalogue and suppression/baseline
-workflow.
+See docs/LINTING.md for the rule catalogue and suppression grammar.
 """
 
 from repro.analysis.base import (
     FileContext,
-    PROFILES,
     RULE_REGISTRY,
     Rule,
     register,
 )
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
-    lint_file,
     lint_paths,
     lint_source,
     make_rules,
     module_name_for,
 )
-from repro.analysis.findings import Finding, SEVERITIES, sort_findings
-from repro.analysis.project import (
-    PROJECT_RULE_REGISTRY,
-    ProjectContext,
-    ProjectRule,
-    build_project,
-    default_reference_paths,
-    lint_project,
-    make_project_rules,
-    register_project,
-)
+from repro.analysis.findings import Finding
 
 __all__ = [
     "FileContext",
     "Finding",
-    "PROFILES",
-    "PROJECT_RULE_REGISTRY",
-    "ProjectContext",
-    "ProjectRule",
     "RULE_REGISTRY",
     "Rule",
-    "SEVERITIES",
-    "apply_baseline",
-    "build_project",
-    "default_reference_paths",
-    "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
-    "load_baseline",
-    "make_project_rules",
     "make_rules",
     "module_name_for",
     "register",
-    "register_project",
-    "sort_findings",
-    "write_baseline",
 ]

@@ -1,30 +1,25 @@
 """Rule framework: the context a rule sees and the rule registry.
 
-A rule is a class with an ``id``, a default ``severity``, a paper-level
-``rationale``, and a ``check(context)`` method yielding
+A rule is a class with an ``id``, a paper-level ``rationale``, and a
+``check(context)`` method yielding
 :class:`~repro.analysis.findings.Finding` objects.  Rules register
 themselves with the :func:`register` decorator; the engine instantiates
 every registered rule once per run.
 
 Rules receive a :class:`FileContext` per file: the parsed AST, the raw
-source lines, the dotted module name (when the file belongs to the
-``repro`` package), and the active profile options.  Rules must be pure
-functions of that context -- no filesystem access, no global state --
-so the engine can run them in any order.
+source lines, and the dotted module name (when the file belongs to the
+``repro`` package).  Rules must be pure functions of that context -- no
+filesystem access, no global state -- so the engine can run them in any
+order.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Type
 
 from repro.analysis.findings import Finding
-
-#: Profile names: ``src`` applies every rule at full strength; ``tests``
-#: keeps the determinism rule (relaxed: set iteration allowed) and drops
-#: the architecture rules, which do not apply outside ``src/repro``.
-PROFILES = ("src", "tests")
 
 
 @dataclass
@@ -35,8 +30,6 @@ class FileContext:
     module: "str | None"          #: dotted module name, e.g. ``repro.mem.cache``
     tree: ast.Module              #: parsed abstract syntax tree
     lines: "list[str]"            #: raw source split into lines
-    profile: str = "src"          #: active profile (``src`` or ``tests``)
-    options: "dict[str, object]" = field(default_factory=dict)
 
     def source_line(self, lineno: int) -> str:
         """The raw text of a 1-based source line ('' when out of range)."""
@@ -61,29 +54,24 @@ class FileContext:
 class Rule:
     """Base class for reprolint rules."""
 
-    #: Unique identifier used in reports, suppressions, and --disable.
+    #: Unique identifier used in reports and suppressions.
     id: str = ""
-    #: Default severity; the CLI can demote a rule to ``warning``.
-    severity: str = "error"
     #: One-line description for ``--list-rules``.
     short: str = ""
     #: Why the reproduction needs this rule (paper-level rationale).
     rationale: str = ""
-    #: Profiles the rule runs under (subset of PROFILES).
-    profiles: "tuple[str, ...]" = ("src",)
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
         """Yield findings for one file."""
         raise NotImplementedError
 
     def finding(self, context: FileContext, node: ast.AST,
-                message: str, severity: "str | None" = None) -> Finding:
+                message: str) -> Finding:
         """Build a finding anchored at an AST node."""
         lineno = getattr(node, "lineno", 1)
         column = getattr(node, "col_offset", 0)
         return Finding(
             rule=self.id,
-            severity=severity or self.severity,
             path=context.path,
             line=lineno,
             column=column,
@@ -117,5 +105,3 @@ def dotted_name(node: ast.AST) -> "str | None":
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-

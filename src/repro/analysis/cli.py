@@ -1,16 +1,10 @@
 """``python -m repro lint`` -- the reprolint command line.
 
-Exit codes: 0 clean, 1 at least one unsuppressed/unbaselined
-error-severity finding, 2 usage error.
+Exit codes: 0 clean, 1 at least one unsuppressed finding, 2 usage
+error.
 
-Default operation lints ``src/repro`` under the ``src`` profile (every
-rule) and ``tests`` under the ``tests`` profile (determinism only,
-set-iteration relaxed), matching ``make lint`` and the CI gate.
-``--project`` additionally builds the whole-program symbol table and
-call graph (:mod:`repro.analysis.project`) and runs the project-scope
-rules (seed-provenance, hot-path-alloc, dead-code, api-drift) over it;
-sibling ``tests``/``benchmarks``/``examples`` trees are parsed as
-liveness references.
+Default operation lints ``src/repro`` with every rule, matching
+``make lint`` and the CI gate.
 
 Output formats (``--format``): ``text`` (human, default), ``json``
 (machine-readable report), and ``github`` (GitHub Actions
@@ -24,28 +18,20 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.analysis import baseline as baseline_module
-from repro.analysis.base import PROFILES, RULE_REGISTRY
+from repro.analysis.base import RULE_REGISTRY
 from repro.analysis.engine import lint_paths, make_rules
-from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.project import (
-    PROJECT_RULE_REGISTRY,
-    build_project,
-    default_reference_paths,
-    lint_project,
-    make_project_rules,
-)
+from repro.analysis.findings import Finding
 
-#: Baseline file looked up relative to the working directory by default.
-DEFAULT_BASELINE = "reprolint-baseline.json"
-
-#: Default lint roots (relative to the repository root).
-DEFAULT_PATHS = ("src/repro", "tests")
+#: Default lint root (relative to the repository root).
+DEFAULT_PATH = "src/repro"
 
 #: Report formats.
 FORMATS = ("text", "json", "github")
+
+#: Version of the ``--format json`` payload.
+JSON_VERSION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,136 +40,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="reprolint: AST-based invariant linter for the "
                     "clumsy-packet-processor reproduction "
                     "(determinism, memory hygiene, layering, "
-                    "encapsulation, numeric safety; --project adds "
-                    "call-graph rules: seed provenance, hot-path "
-                    "allocation, dead code, api drift)")
+                    "encapsulation, numeric safety)")
     parser.add_argument("paths", nargs="*",
-                        help="files or directories to lint (default: "
-                             "src/repro and tests, when they exist)")
-    parser.add_argument("--project", action="store_true",
-                        help="build the project symbol table and call "
-                             "graph over the lint paths and run the "
-                             "project-scope rules as well")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        dest="format",
+                        help=f"files or directories to lint (default: "
+                             f"{DEFAULT_PATH})")
+    parser.add_argument("--format", choices=FORMATS, default="text",
                         help="report format: text (default), json, or "
                              "github (workflow annotations)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="alias for --format json")
-    parser.add_argument("--profile", choices=PROFILES + ("auto",),
-                        default="auto",
-                        help="force a rule profile; 'auto' (default) "
-                             "derives it per file from the path "
-                             "(tests/benchmarks dirs -> tests profile)")
-    parser.add_argument("--disable", action="append", default=[],
-                        metavar="RULE",
-                        help="disable a rule id (repeatable, "
-                             "comma-separable)")
-    parser.add_argument("--warning", action="append", default=[],
-                        metavar="RULE",
-                        help="demote a rule id to warning severity "
-                             "(repeatable, comma-separable)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline file (default: "
-                             f"{DEFAULT_BASELINE} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "file (pruning stale entries) and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="list rule ids with descriptions and exit")
     return parser
 
 
-def _split_ids(values: "List[str]") -> "List[str]":
-    ids: "List[str]" = []
-    for value in values:
-        ids.extend(part.strip() for part in value.split(",")
-                   if part.strip())
-    return ids
-
-
-def _partition_ids(ids: "List[str]",
-                   ) -> "Tuple[List[str], List[str], List[str]]":
-    """Split rule ids into (per-file, project, unknown)."""
-    per_file = [i for i in ids if i in RULE_REGISTRY]
-    project = [i for i in ids if i in PROJECT_RULE_REGISTRY]
-    unknown = [i for i in ids
-               if i not in RULE_REGISTRY
-               and i not in PROJECT_RULE_REGISTRY]
-    return per_file, project, unknown
-
-
 def _list_rules() -> str:
     lines = ["reprolint rules:"]
     for rule_id, rule_class in sorted(RULE_REGISTRY.items()):
-        profiles = ",".join(rule_class.profiles)
-        lines.append(f"  {rule_id:<16} [{rule_class.severity}, "
-                     f"profiles: {profiles}]")
+        lines.append(f"  {rule_id}")
         lines.append(f"      {rule_class.short}")
         lines.append(f"      rationale: {rule_class.rationale}")
-    lines.append("project rules (--project):")
-    for rule_id, project_class in sorted(PROJECT_RULE_REGISTRY.items()):
-        lines.append(f"  {rule_id:<16} [{project_class.severity}, "
-                     f"project-scope]")
-        lines.append(f"      {project_class.short}")
-        lines.append(f"      rationale: {project_class.rationale}")
     return "\n".join(lines)
 
 
-def _default_paths() -> "List[str]":
-    present = [path for path in DEFAULT_PATHS if os.path.exists(path)]
-    return present
-
-
-def _render_report(findings: "List[Finding]", matched: int,
-                   stale: "List[str]", checked_paths: "List[str]",
-                   ) -> str:
-    lines = [finding.render() for finding in findings]
-    errors = sum(1 for f in findings if f.severity == "error")
-    warnings = len(findings) - errors
-    summary = (f"reprolint: {errors} error(s), {warnings} warning(s) "
-               f"in {', '.join(checked_paths)}")
-    if matched:
-        summary += f"; {matched} baselined"
-    lines.append(summary)
-    if stale:
-        lines.append(
-            f"reprolint: {len(stale)} stale baseline entr"
-            f"{'y' if len(stale) == 1 else 'ies'} (no longer found) -- "
-            f"run --write-baseline to shrink the baseline: "
-            f"{', '.join(stale[:5])}"
-            f"{' ...' if len(stale) > 5 else ''}")
-    return "\n".join(lines)
-
-
-def _render_github(findings: "List[Finding]", matched: int,
-                   stale: "List[str]", checked_paths: "List[str]",
-                   ) -> str:
-    """GitHub Actions workflow annotations, one line per finding."""
-    lines: "List[str]" = []
-    for finding in findings:
-        level = "error" if finding.severity == "error" else "warning"
-        # Annotation messages are %-escaped per the workflow-command
-        # grammar; newlines never occur in findings but escape anyway.
-        message = (f"{finding.rule}: {finding.message}"
-                   .replace("%", "%25")
-                   .replace("\r", "%0D")
-                   .replace("\n", "%0A"))
-        lines.append(f"::{level} file={finding.path},"
-                     f"line={finding.line},"
-                     f"col={finding.column + 1}::{message}")
-    errors = sum(1 for f in findings if f.severity == "error")
-    summary = (f"reprolint: {errors} error(s), "
-               f"{len(findings) - errors} warning(s) "
-               f"in {', '.join(checked_paths)}")
-    if matched:
-        summary += f"; {matched} baselined"
-    if stale:
-        summary += f"; {len(stale)} stale baseline entries"
-    lines.append(summary)
-    return "\n".join(lines)
+def _github_annotation(finding: Finding) -> str:
+    """One GitHub Actions workflow annotation for a finding."""
+    # Annotation messages are %-escaped per the workflow-command
+    # grammar; newlines never occur in findings but escape anyway.
+    message = (f"{finding.rule}: {finding.message}"
+               .replace("%", "%25")
+               .replace("\r", "%0D")
+               .replace("\n", "%0A"))
+    return (f"::error file={finding.path},line={finding.line},"
+            f"col={finding.column + 1}::{message}")
 
 
 def main(argv: "Optional[List[str]]" = None) -> int:
@@ -195,82 +82,27 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         print(_list_rules())
         return 0
 
-    report_format = args.format or ("json" if args.as_json else "text")
-
-    paths = args.paths or _default_paths()
-    if not paths:
-        parser.error("no paths given and neither src/repro nor tests "
-                     "exists under the working directory")
+    paths = args.paths or [DEFAULT_PATH]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")
 
-    disabled_file, disabled_project, unknown = _partition_ids(
-        _split_ids(args.disable))
-    demoted_file, demoted_project, also_unknown = _partition_ids(
-        _split_ids(args.warning))
-    unknown = sorted(set(unknown) | set(also_unknown))
-    if unknown:
-        known = sorted(set(RULE_REGISTRY) | set(PROJECT_RULE_REGISTRY))
-        parser.error(f"unknown rule id(s): {', '.join(unknown)}; "
-                     f"known: {', '.join(known)}")
-    rules = make_rules(disabled=disabled_file, demoted=demoted_file)
-
-    profile = None if args.profile == "auto" else args.profile
-    options: "dict" = {}
-    project = None
-    if args.project:
-        project = build_project(paths, default_reference_paths(paths))
-        options["project"] = project
-    findings = lint_paths(paths, rules, profile=profile,
-                          options=options)
-    if project is not None:
-        project_rules = make_project_rules(disabled=disabled_project,
-                                           demoted=demoted_project)
-        findings = sort_findings(
-            findings + lint_project(project, project_rules))
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline_exists = os.path.exists(baseline_path)
-    if args.write_baseline:
-        pruned = 0
-        if baseline_exists:
-            previous = baseline_module.load_baseline(baseline_path)
-            current = {finding.fingerprint for finding in findings}
-            pruned = sum(1 for fingerprint in previous
-                         if fingerprint not in current)
-        baseline_module.write_baseline(baseline_path, findings)
-        note = f" (pruned {pruned} stale entr" \
-               f"{'y' if pruned == 1 else 'ies'})" if pruned else ""
-        print(f"reprolint: wrote {len(findings)} finding(s) to "
-              f"{baseline_path}{note}")
-        return 0
-
-    matched = 0
-    stale: "List[str]" = []
-    if not args.no_baseline and baseline_exists:
-        baseline = baseline_module.load_baseline(baseline_path)
-        findings, matched, stale = baseline_module.apply_baseline(
-            findings, baseline)
-
-    errors = sum(1 for f in findings if f.severity == "error")
-    if report_format == "json":
-        payload = {
-            "version": 1,
-            "paths": list(paths),
-            "project": bool(args.project),
+    findings = lint_paths(paths, make_rules())
+    if args.format == "json":
+        print(json.dumps({
+            "version": JSON_VERSION,
+            "paths": paths,
             "findings": [finding.to_dict() for finding in findings],
-            "baselined": matched,
-            "stale_baseline": stale,
-            "errors": errors,
-            "warnings": len(findings) - errors,
-        }
-        print(json.dumps(payload, indent=2))
-    elif report_format == "github":
-        print(_render_github(findings, matched, stale, list(paths)))
+            "errors": len(findings),
+        }, indent=2))
     else:
-        print(_render_report(findings, matched, stale, list(paths)))
-    return 1 if errors else 0
+        render = (_github_annotation if args.format == "github"
+                  else Finding.render)
+        for finding in findings:
+            print(render(finding))
+        print(f"reprolint: {len(findings)} error(s) in "
+              f"{', '.join(paths)}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

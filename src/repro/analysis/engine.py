@@ -6,18 +6,18 @@ DAG), so linting can never be perturbed by the code under analysis.
 
 Per-file pipeline::
 
-    read -> parse AST -> run every applicable rule -> drop suppressed
-    findings -> (caller applies the baseline)
+    read -> parse AST -> run every rule -> drop suppressed findings
+    -> report suppressions that name no rule
 
 Suppressions are line comments::
 
-    risky_line()  # reprolint: disable=rule-id
-    risky_line()  # reprolint: disable=rule-a,rule-b
+    risky_line()  # reprolint: disable=determinism
+    risky_line()  # reprolint: disable=layering,private-import
     risky_line()  # reprolint: disable=all
 
-and a whole file can opt out with ``# reprolint: skip-file`` in its
-first ten lines (reserved for vendored code; nothing in the tree uses
-it).
+A suppression id that is neither a registered rule nor ``all`` is
+itself a finding (``unknown-suppression``): a rule that is renamed or
+deleted must not leave comments behind that silence nothing.
 """
 
 from __future__ import annotations
@@ -25,19 +25,19 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.analysis import rules as _rules  # noqa: F401  (registration)
-from repro.analysis.base import PROFILES, FileContext, RULE_REGISTRY, Rule
+from repro.analysis.base import FileContext, RULE_REGISTRY, Rule
 from repro.analysis.findings import Finding, sort_findings
 
 #: Suppression comment grammar.
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=([A-Za-z0-9_,-]+)")
-_SKIP_FILE_RE = re.compile(r"#\s*reprolint:\s*skip-file")
 
-#: How many leading lines may carry a skip-file pragma.
-_SKIP_FILE_WINDOW = 10
+#: Engine-level finding ids (not rules: they cannot be suppressed).
+PARSE_ERROR = "parse-error"
+UNKNOWN_SUPPRESSION = "unknown-suppression"
 
 
 def iter_python_files(paths: "Sequence[str]") -> "List[str]":
@@ -76,112 +76,76 @@ def module_name_for(path: str) -> "Optional[str]":
     return ".".join(module_parts)
 
 
-def profile_for(path: str, explicit: "Optional[str]" = None) -> str:
-    """Profile for one file: explicit override, else path-derived."""
-    if explicit is not None:
-        return explicit
-    parts = os.path.normpath(path).split(os.sep)
-    if "tests" in parts or "benchmarks" in parts:
-        return "tests"
-    return "src"
+def make_rules() -> "List[Rule]":
+    """Instantiate every registered rule, in registration order."""
+    return [rule_class() for rule_class in RULE_REGISTRY.values()]
 
 
-def make_rules(disabled: "Iterable[str]" = (),
-               demoted: "Iterable[str]" = ()) -> "List[Rule]":
-    """Instantiate registered rules, applying CLI-level severity tweaks."""
-    disabled_set = set(disabled)
-    demoted_set = set(demoted)
-    unknown = (disabled_set | demoted_set) - set(RULE_REGISTRY)
-    if unknown:
-        raise ValueError(
-            f"unknown rule id(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(sorted(RULE_REGISTRY))}")
-    instances: "List[Rule]" = []
-    for rule_id, rule_class in RULE_REGISTRY.items():
-        if rule_id in disabled_set:
-            continue
-        instance = rule_class()
-        if rule_id in demoted_set:
-            instance.severity = "warning"
-        instances.append(instance)
-    return instances
+def _suppressions(lines: "Sequence[str]") -> "Dict[int, Set[str]]":
+    """1-based line number -> rule ids its suppression comment names."""
+    found: "Dict[int, Set[str]]" = {}
+    for lineno, line in enumerate(lines, start=1):
+        match = _SUPPRESS_RE.search(line)
+        if match is not None:
+            found[lineno] = {part for part in match.group(1).split(",")
+                             if part}
+    return found
 
 
-def suppressed_rules(line: str) -> "Optional[set]":
-    """Rule ids suppressed on this physical line (None when none).
-
-    Public because :func:`repro.analysis.project.lint_project` applies
-    the same comment grammar to project-scope findings.
-    """
-    match = _SUPPRESS_RE.search(line)
-    if match is None:
-        return None
-    return {part.strip() for part in match.group(1).split(",")
-            if part.strip()}
-
-
-def lint_file(path: str, rules: "Sequence[Rule]",
-              profile: str = "src",
-              options: "Optional[Dict[str, object]]" = None,
-              ) -> "List[Finding]":
-    """Lint one file; returns unsuppressed findings (baseline not applied)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path, rules, profile=profile,
-                       options=options)
+def _unknown_suppressions(path: str, lines: "Sequence[str]",
+                          table: "Dict[int, Set[str]]",
+                          ) -> "Iterator[Finding]":
+    known = set(RULE_REGISTRY) | {"all"}
+    for lineno, ids in sorted(table.items()):
+        line = lines[lineno - 1]
+        match = _SUPPRESS_RE.search(line)
+        for rule_id in sorted(ids - known):
+            yield Finding(
+                rule=UNKNOWN_SUPPRESSION, path=path, line=lineno,
+                column=match.start() if match else 0,
+                message=f"suppression names {rule_id!r}, which is not a "
+                        f"reprolint rule; delete it (known: "
+                        f"{', '.join(sorted(RULE_REGISTRY))}, all)",
+                source_line=line)
 
 
-def lint_source(source: str, path: str, rules: "Sequence[Rule]",
-                profile: str = "src",
-                options: "Optional[Dict[str, object]]" = None,
-                module: "Optional[str]" = None,
-                ) -> "List[Finding]":
+def lint_source(source: str, path: str,
+                rules: "Sequence[Rule]") -> "List[Finding]":
     """Lint in-memory source (the unit the tests exercise directly)."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}")
     lines = source.splitlines()
-    for line in lines[:_SKIP_FILE_WINDOW]:
-        if _SKIP_FILE_RE.search(line):
-            return []
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
+        lineno = error.lineno or 1
         return [Finding(
-            rule="parse-error", severity="error", path=path,
-            line=error.lineno or 1, column=error.offset or 0,
+            rule=PARSE_ERROR, path=path,
+            line=lineno, column=error.offset or 0,
             message=f"file does not parse: {error.msg}",
-            source_line=lines[(error.lineno or 1) - 1]
-            if 0 < (error.lineno or 1) <= len(lines) else "")]
+            source_line=lines[lineno - 1]
+            if 0 < lineno <= len(lines) else "")]
     context = FileContext(
         path=path,
-        module=module if module is not None else module_name_for(path),
+        module=module_name_for(path),
         tree=tree,
         lines=lines,
-        profile=profile,
-        options=dict(options or {}),
     )
+    table = _suppressions(lines)
     findings: "List[Finding]" = []
     for rule in rules:
-        if profile not in rule.profiles:
-            continue
         for finding in rule.check(context):
-            suppressed = suppressed_rules(
-                context.source_line(finding.line))
-            if suppressed is not None and \
-                    ("all" in suppressed or finding.rule in suppressed):
+            suppressed = table.get(finding.line, ())
+            if "all" in suppressed or finding.rule in suppressed:
                 continue
             findings.append(finding)
+    findings.extend(_unknown_suppressions(path, lines, table))
     return sort_findings(findings)
 
 
-def lint_paths(paths: "Sequence[str]", rules: "Sequence[Rule]",
-               profile: "Optional[str]" = None,
-               options: "Optional[Dict[str, object]]" = None,
-               ) -> "List[Finding]":
-    """Lint files/directories; profile is per-file unless forced."""
+def lint_paths(paths: "Sequence[str]",
+               rules: "Sequence[Rule]") -> "List[Finding]":
+    """Lint every ``.py`` file under the given files/directories."""
     findings: "List[Finding]" = []
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules,
-                                  profile=profile_for(path, profile),
-                                  options=options))
+        with open(path, "r", encoding="utf-8") as handle:
+            findings.extend(lint_source(handle.read(), path, rules))
     return sort_findings(findings)

@@ -1,22 +1,13 @@
 """Finding records produced by reprolint rules.
 
 A finding is one rule violation at one source location.  Findings are
-value objects: the engine sorts, filters (suppressions, baseline), and
-serialises them, but never mutates them.  The *fingerprint* identifies a
-finding across unrelated edits -- it hashes the file, the rule, and the
-stripped source line, but **not** the line number, so baselined findings
-survive code moving up or down within a file.
+value objects: the engine sorts, filters (suppressions), and serialises
+them, but never mutates them.  Every finding fails the lint run.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-
-#: Severity levels, in increasing order of importance.  ``error`` findings
-#: fail the lint run; ``warning`` findings are reported but do not affect
-#: the exit code.
-SEVERITIES = ("warning", "error")
 
 
 @dataclass(frozen=True)
@@ -24,45 +15,27 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str           #: rule identifier (e.g. ``determinism``)
-    severity: str       #: ``error`` or ``warning``
     path: str           #: file path as given to the engine
     line: int           #: 1-based line number
     column: int         #: 0-based column offset
     message: str        #: human-readable description of the violation
     source_line: str = field(default="", compare=False)
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline (line-number independent)."""
-        digest = hashlib.sha256()
-        digest.update(self.path.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(self.rule.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(self.source_line.strip().encode("utf-8"))
-        return digest.hexdigest()[:16]
-
     def to_dict(self) -> "dict[str, object]":
-        """JSON-ready representation (used by ``--json`` output)."""
+        """JSON-ready representation (used by ``--format json``)."""
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "column": self.column,
             "message": self.message,
             "source_line": self.source_line,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
-        """One-line human rendering: ``path:line:col: severity[rule] msg``."""
+        """One-line human rendering: ``path:line:col: error[rule] msg``."""
         return (f"{self.path}:{self.line}:{self.column}: "
-                f"{self.severity}[{self.rule}] {self.message}")
+                f"error[{self.rule}] {self.message}")
 
 
 def sort_findings(findings: "list[Finding]") -> "list[Finding]":

@@ -1,26 +1,17 @@
 """Built-in reprolint rules.
 
-Importing this package populates both rule registries: per-file rules
-(:data:`repro.analysis.base.RULE_REGISTRY`, ``@register``-decorated
-:class:`~repro.analysis.base.Rule` subclasses) and project-scope rules
-(:data:`repro.analysis.project.PROJECT_RULE_REGISTRY`,
-``@register_project``-decorated
-:class:`~repro.analysis.project.ProjectRule` subclasses, run only under
-``--project``).  A new rule is a module here plus an import below --
-nothing else to wire.
+Importing this package populates
+:data:`repro.analysis.base.RULE_REGISTRY` with the ``@register``-decorated
+:class:`~repro.analysis.base.Rule` subclasses.  A new rule is a module
+here plus an import below -- nothing else to wire.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
-    apidrift,
-    deadcode,
     determinism,
     floatcmp,
-    hotpath,
     hygiene,
     layering,
     privacy,
-    seedflow,
 )
 
-__all__ = ["apidrift", "deadcode", "determinism", "floatcmp", "hotpath",
-           "hygiene", "layering", "privacy", "seedflow"]
+__all__ = ["determinism", "floatcmp", "hygiene", "layering", "privacy"]

@@ -8,21 +8,22 @@ simulator code may draw randomness only from explicitly seeded
 generators -- ``random.Random(seed)`` instances (as ``mem/faults.py``
 and ``net/trace.py`` do) or seeded numpy generators
 (``numpy.random.default_rng(seed)``); the module-level ``random``/
-``numpy.random`` generators and argless constructors are forbidden.  It
-may never read wall-clock time, and may not iterate sets whose order
-the hash seed controls.
+``numpy.random`` generators and argless constructors
+(``random.Random()``, ``numpy.random.default_rng()``), which seed
+themselves from OS entropy, are forbidden.  It may never read
+wall-clock time, and may not iterate sets whose order the hash seed
+controls.
 
-Relaxation: under the ``tests`` profile set iteration is permitted
-(assertion helpers iterate small sets harmlessly), but wall-clock reads
-and unseeded module-level randomness remain forbidden -- test
-expectations must not depend on either.
+The in-process seed-determinism tests cannot see these defects: an
+environment read or a hash-ordered set iteration changes results only
+between processes.
 
 Two measurement carve-outs: the profiling clocks
 (``time.perf_counter``/``process_time`` families) and environment reads
 (``os.environ``/``os.getenv``) are the *job* of the measurement context
--- the ``harness``/``telemetry`` layers and ``benchmarks/`` -- and are
-allowed there only.  Anywhere else they launder host state into results
-that must be a pure function of config + seed.
+-- the ``harness``/``telemetry`` layers -- and are allowed there only.
+Anywhere else they launder host state into results that must be a pure
+function of config + seed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Iterator
 from repro.analysis.base import FileContext, Rule, dotted_name, register
 from repro.analysis.findings import Finding
 
-#: ``random`` module attributes that are safe: the seeded-generator class.
+#: ``random`` module attributes that are safe: the seeded-generator class
+#: (an argless ``random.Random()`` draws OS entropy and is flagged).
 _SAFE_RANDOM_ATTRS = frozenset({"Random"})
 
 #: ``numpy.random`` constructors that are deterministic *when seeded*:
@@ -61,10 +63,6 @@ _PROFILING_CLOCKS = frozenset({
 #: must be a pure function of config + seed.
 _MEASUREMENT_LAYERS = frozenset({"harness", "telemetry"})
 
-#: Path components that also mark measurement context (benchmarks are
-#: linted under the tests profile but time the host by design).
-_MEASUREMENT_DIRS = frozenset({"benchmarks"})
-
 #: ``datetime``/``date`` constructors that read host clocks.
 _NOW_FUNCTIONS = frozenset({"now", "utcnow", "today"})
 
@@ -73,14 +71,6 @@ _ENTROPY_MODULES = frozenset({"secrets"})
 
 #: Builtins that materialise an iterable in iteration order.
 _ORDER_SENSITIVE_BUILTINS = frozenset({"list", "tuple", "iter"})
-
-
-def _is_measurement_context(context: FileContext) -> bool:
-    """Whether host profiling / environment reads are this file's job."""
-    if context.layer() in _MEASUREMENT_LAYERS:
-        return True
-    parts = context.path.replace("\\", "/").split("/")
-    return bool(_MEASUREMENT_DIRS.intersection(parts))
 
 
 def _is_set_expression(node: ast.AST) -> bool:
@@ -97,18 +87,14 @@ class DeterminismRule(Rule):
     """Forbid unseeded randomness, wall clocks, and set-order dependence."""
 
     id = "determinism"
-    severity = "error"
     short = ("no unseeded randomness, wall-clock reads, or "
              "unordered-set iteration")
     rationale = ("golden vs. fault-injected runs must be bit-identical "
                  "per seed (paper Section 2); only random.Random(seed) "
                  "instances may produce randomness")
-    profiles = ("src", "tests")
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
-        allow_sets = bool(context.options.get("allow_set_iteration",
-                                              context.profile == "tests"))
-        measurement = _is_measurement_context(context)
+        measurement = context.layer() in _MEASUREMENT_LAYERS
         for node in ast.walk(context.tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 yield from self._check_import_from(context, node,
@@ -121,8 +107,7 @@ class DeterminismRule(Rule):
                                                 measurement)
                 if isinstance(node, ast.Attribute) and not measurement:
                     yield from self._check_environ(context, node)
-                if not allow_sets:
-                    yield from self._check_set_iteration(context, node)
+                yield from self._check_set_iteration(context, node)
 
     # -- imports --------------------------------------------------------------
 
@@ -172,12 +157,18 @@ class DeterminismRule(Rule):
             return
         parts = name.split(".")
         root, leaf = parts[0], parts[-1]
+        argless = not node.args and not node.keywords
         if root == "random" and len(parts) == 2 and \
                 leaf not in _SAFE_RANDOM_ATTRS:
             yield self.finding(
                 context, node,
                 f"random.{leaf}() draws from the unseeded module-level "
                 f"generator; use a random.Random(seed) instance")
+        elif name == "random.Random" and argless:
+            yield self.finding(
+                context, node,
+                "random.Random() without a seed draws OS entropy; pass "
+                "an explicit seed (random.Random(seed))")
         elif root == "time" and len(parts) == 2 and \
                 leaf in _CLOCK_FUNCTIONS and not \
                 (measurement and leaf in _PROFILING_CLOCKS):
@@ -197,7 +188,7 @@ class DeterminismRule(Rule):
                 "os.getenv() launders host state into the run; results "
                 "must be a function of config + seed -- route knobs "
                 "through explicit parameters (environment reads belong "
-                "in harness/, telemetry/, or benchmarks/)")
+                "in harness/ or telemetry/)")
         elif root == "os" and leaf == "urandom" and len(parts) == 2:
             yield self.finding(
                 context, node,
@@ -211,7 +202,7 @@ class DeterminismRule(Rule):
         elif root in _NUMPY_ALIASES and len(parts) == 3 and \
                 parts[1] == "random":
             if leaf in _NUMPY_SEEDABLE_CONSTRUCTORS:
-                if not node.args and not node.keywords:
+                if argless:
                     yield self.finding(
                         context, node,
                         f"{name}() without a seed draws OS entropy; pass "
@@ -235,7 +226,7 @@ class DeterminismRule(Rule):
                 "os.environ launders host state into the run; results "
                 "must be a function of config + seed -- route knobs "
                 "through explicit parameters (environment reads belong "
-                "in harness/, telemetry/, or benchmarks/)")
+                "in harness/ or telemetry/)")
 
     # -- set iteration --------------------------------------------------------
 

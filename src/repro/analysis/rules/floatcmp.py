@@ -14,24 +14,16 @@ The rule is name-driven: it fires when either operand of an ``==``/
 matches a known metric vocabulary.  Identity comparisons with ``None``
 and comparisons inside ``assert`` helpers that use a tolerance are
 unaffected.
-
-Under ``--project`` the name heuristic gains teeth: a call operand is
-resolved through the project call graph's import tables, and if the
-target function is annotated ``-> float`` the comparison is flagged
-regardless of vocabulary -- the annotation is the simulator declaring
-"this is an accumulated float", which is exactly the operand class the
-per-file heuristic misses when the name is neutral.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.base import FileContext, Rule, dotted_name, register
 from repro.analysis.findings import Finding
-from repro.analysis.project import resolve_chain
 
 #: Metric name vocabulary (word-boundary matched against identifiers).
 METRIC_WORDS = ("energy", "delay", "fallibility", "edf", "edp",
@@ -59,15 +51,12 @@ class FloatEqualityRule(Rule):
     """Forbid exact equality on float energy/delay/fallibility metrics."""
 
     id = "float-equality"
-    severity = "error"
     short = "no ==/!= on float energy/delay/fallibility metrics"
     rationale = ("metrics are long float accumulation chains; exact "
                  "equality rots into 'never equal' -- use math.isclose "
                  "or compare the underlying integer counters")
-    profiles = ("src",)
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
-        project = context.options.get("project")
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -90,37 +79,3 @@ class FloatEqualityRule(Rule):
                         context, node,
                         f"exact {symbol} on float metric {metric!r}; "
                         f"use math.isclose() or an explicit tolerance")
-                    continue
-                resolved = (self._float_call(context, project, left) or
-                            self._float_call(context, project, right))
-                if resolved is not None:
-                    yield self.finding(
-                        context, node,
-                        f"exact {symbol} on the result of "
-                        f"{resolved}(), which is annotated -> float; "
-                        f"use math.isclose() or an explicit tolerance")
-
-    @staticmethod
-    def _float_call(context: FileContext, project,
-                    node: ast.AST) -> "Optional[str]":
-        """Project plumbing: a call whose target returns float."""
-        if project is None or not isinstance(node, ast.Call):
-            return None
-        name = dotted_name(node.func)
-        if name is None or context.module is None:
-            return None
-        info = project.resolve_module(context.module)
-        if info is None:
-            return None
-        resolved = resolve_chain(project, info, {}, name.split("."))
-        if resolved is None:
-            return None
-        function = project.functions.get(resolved)
-        if function is None:
-            return None
-        returns = function.node.returns
-        is_float = (isinstance(returns, ast.Name) and
-                    returns.id == "float") or \
-                   (isinstance(returns, ast.Constant) and
-                    returns.value == "float")
-        return name.split(".")[-1] if is_float else None

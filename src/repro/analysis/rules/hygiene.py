@@ -31,8 +31,7 @@ from repro.analysis.base import FileContext, Rule, register
 from repro.analysis.findings import Finding
 
 #: Methods allowed to mutate host-side state (construction/control
-#: plane).  Public: the project-scope ``hot-path-alloc`` rule shares
-#: this set as its setup-code exemption.
+#: plane).
 CONTROL_PLANE_METHODS = frozenset({
     "__init__", "control_plane", "run_control_plane",
     "register_static_region",
@@ -49,21 +48,13 @@ _MUTATING_METHODS = frozenset({
 _ALLOWED_HIERARCHY_ATTRS = frozenset({"inspect"})
 
 
-def _is_netbench_class(context: FileContext,
-                       node: ast.ClassDef) -> bool:
+def _is_netbench_class(node: ast.ClassDef) -> bool:
+    """Whether the class names ``NetBenchApp`` as a direct base."""
     for base in node.bases:
         if isinstance(base, ast.Name) and base.id == "NetBenchApp":
             return True
         if isinstance(base, ast.Attribute) and base.attr == "NetBenchApp":
             return True
-    # Under ``--project`` the class hierarchy is import-resolved, so a
-    # renamed base (``from repro.apps.base import NetBenchApp as App``)
-    # or an intermediate project base class still counts.
-    project = context.options.get("project")
-    if project is not None and context.module is not None:
-        qualname = f"{context.module}.{node.name}"
-        return any(cls.qualname == qualname
-                   for cls in project.subclasses_of("NetBenchApp"))
     return False
 
 
@@ -87,21 +78,18 @@ class SimulatedMemoryRule(Rule):
     """Data-plane kernels may not keep state outside simulated memory."""
 
     id = "sim-memory"
-    severity = "error"
     short = ("app data-plane methods must route state through "
              "MemView/Environment, not host containers")
     rationale = ("every data-plane access must flow through the faulty L1 "
                  "(paper Section 4); host-side state shrinks the fault "
                  "surface and biases error rates")
-    profiles = ("src",)
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
         module = context.module or ""
         if not module.startswith("repro.apps"):
             return
         for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef) and \
-                    _is_netbench_class(context, node):
+            if isinstance(node, ast.ClassDef) and _is_netbench_class(node):
                 yield from self._check_class(context, node)
         yield from self._check_hierarchy_access(context)
 

@@ -15,13 +15,6 @@ this rule was written for: ``telemetry/report.py`` once lazily imported
 
 Lazy imports inside functions count: an upward import is an upward
 dependency no matter when it executes.
-
-Under ``--project`` the rule additionally resolves every ``repro.*``
-import target against the project symbol table: an import of a module
-that no longer exists (renamed, deleted) is a latent ImportError that
-per-file analysis cannot see.  The check only runs when the analysed
-tree contains the ``repro`` package root, so linting a subtree never
-produces resolution false positives.
 """
 
 from __future__ import annotations
@@ -120,7 +113,6 @@ class LayeringRule(Rule):
     """Enforce the import DAG and telemetry non-perturbation."""
 
     id = "layering"
-    severity = "error"
     short = ("imports must follow the layer DAG "
              "(util < net/core < cpu/telemetry < mem < apps < "
              "system < harness < replay < oracle); telemetry "
@@ -128,7 +120,6 @@ class LayeringRule(Rule):
     rationale = ("a layered fault surface keeps every simulated access "
                  "auditable, and telemetry stays non-perturbing when "
                  "only the instrumented layers can reach it")
-    profiles = ("src",)
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
         source_layer = context.layer()
@@ -142,26 +133,12 @@ class LayeringRule(Rule):
                 f"{source_layer!r}; add it to the layer DAG in "
                 f"repro/analysis/rules/layering.py")
             return
-        # Project-scope plumbing: with the whole tree analysed, every
-        # repro.* import target must resolve to a module that exists.
-        project = context.options.get("project")
-        if project is not None and \
-                project.resolve_module("repro") is None:
-            project = None  # subtree build: resolution would lie
         if source_layer == "repro":
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target in _imported_repro_modules(context, node):
-                if project is not None and \
-                        project.resolve_module(target) is None:
-                    yield self.finding(
-                        context, node,
-                        f"imports {target}, which is not a module in "
-                        f"the analysed tree (moved or deleted?); fix "
-                        f"the import or the layer DAG")
-                    continue
                 target_layer = _layer_of(target)
                 if target_layer == source_layer:
                     continue

@@ -9,13 +9,6 @@ may change without notice.  The fix is always to promote the name (as
 PR 2 did for ``repro.apps.radix.FNV_OFFSET``) or to add a public
 wrapper -- never to suppress.
 
-Under ``--project`` the rule additionally resolves every absolute
-``from repro.x import y`` against the source module's symbol table:
-a name the source no longer binds is a latent ImportError (the
-api-drift rule owns the same check for the facade, so ``repro/api.py``
-is excluded here).  As with layering, the check only runs when the
-analysed tree contains the ``repro`` package root.
-
 The rule also audits the public facade (``repro/api.py``): the facade
 is the supported import surface, so nothing outside ``repro/`` may be
 needed to use it.  Every import in the facade must target ``repro.*``
@@ -47,21 +40,14 @@ class PrivateImportRule(Rule):
     """Forbid importing or dereferencing another module's ``_private``."""
 
     id = "private-import"
-    severity = "error"
     short = "no cross-module imports of _private names"
     rationale = ("leading-underscore names are module-local contracts; "
                  "promote them to a public API instead of importing "
                  "them (the PR 1 regression class)")
-    profiles = ("src",)
 
     def check(self, context: FileContext) -> "Iterator[Finding]":
         if context.module == API_FACADE_MODULE:
             yield from self._check_api_facade(context)
-        project = context.options.get("project")
-        if project is not None and \
-                (project.resolve_module("repro") is None or
-                 context.module == API_FACADE_MODULE):
-            project = None  # subtree build, or the facade (api-drift's)
         aliases = self._module_aliases(context)
         for node in ast.walk(context.tree):
             if isinstance(node, ast.ImportFrom):
@@ -76,9 +62,6 @@ class PrivateImportRule(Rule):
                             f"imports private name {alias.name!r} from "
                             f"{node.module or 'package'}; promote it to "
                             f"a public API instead")
-                        continue
-                    yield from self._check_resolves(context, project,
-                                                    node, alias)
             elif isinstance(node, ast.Attribute) and \
                     _is_private(node.attr) and \
                     isinstance(node.value, ast.Name) and \
@@ -88,28 +71,6 @@ class PrivateImportRule(Rule):
                     f"dereferences private name "
                     f"{aliases[node.value.id]}.{node.attr} of another "
                     f"module; promote it to a public API instead")
-
-    def _check_resolves(self, context: FileContext, project,
-                        node: ast.ImportFrom,
-                        alias: ast.alias) -> "Iterator[Finding]":
-        """Project plumbing: the imported name must exist at source."""
-        if project is None or node.level != 0 or alias.name == "*":
-            return
-        module = node.module or ""
-        if not module.startswith("repro"):
-            return
-        source = project.resolve_module(module)
-        if source is None:
-            return  # the layering rule reports missing modules
-        if alias.name in source.bindings:
-            return
-        if project.resolve_module(f"{module}.{alias.name}") is not None:
-            return  # submodule import
-        yield self.finding(
-            context, node,
-            f"imports {alias.name!r} from {module}, which binds no "
-            f"such name -- an ImportError waiting for the first "
-            f"caller; fix the name or restore the binding")
 
     def _check_api_facade(self, context: FileContext,
                           ) -> "Iterator[Finding]":

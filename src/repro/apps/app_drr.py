@@ -83,12 +83,12 @@ class DrrApp(NetBenchApp):
         service distribution, so fairness degradation is an
         application-level error metric DRR itself motivates.
         """
-        served = [bytes_served for bytes_served in self.served_bytes.values()  # reprolint: disable=hot-path-alloc (end-of-run metric, computed once per experiment, not per packet)
+        served = [bytes_served for bytes_served in self.served_bytes.values()
                   if bytes_served > 0]
         if not served:
             return 1.0
         total = sum(served)
-        squares = sum(value * value for value in served)  # reprolint: disable=hot-path-alloc (end-of-run metric, computed once per experiment, not per packet)
+        squares = sum(value * value for value in served)
         return total * total / (len(self.served_bytes) * squares)
 
     def _flow_address(self, flow_index: int) -> int:

@@ -157,7 +157,7 @@ class NetBenchApp:
 
     def make_watchdog(self, limit: int, description: str) -> Watchdog:
         """A loop watchdog labelled with this application's name."""
-        return Watchdog(limit, f"{self.name}:{description}")  # reprolint: disable=hot-path-alloc (the label names the Watchdog being allocated alongside it; one pair per guarded loop, not per packet byte)
+        return Watchdog(limit, f"{self.name}:{description}")
 
     def all_categories(self) -> "tuple[str, ...]":
         """Categories including the framework-provided initialization sample."""

@@ -29,18 +29,14 @@ import argparse
 import importlib
 from typing import Callable, List
 
-#: Every selectable backend name, in declaration order.  The apidrift
-#: project rule keeps this tuple in sync with :data:`BACKEND_MODULES`.
-BACKEND_NAMES = (
-    "execute",
-    "replay",
-)
-
 #: Backend name -> module whose import registers the runner.
 BACKEND_MODULES = {
     "execute": "repro.harness.engine",
     "replay": "repro.replay.backend",
 }
+
+#: Every selectable backend name, in declaration order.
+BACKEND_NAMES = tuple(BACKEND_MODULES)
 
 #: A backend runner maps a config batch to results, index-aligned.
 BackendRunner = Callable[..., List]

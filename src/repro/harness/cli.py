@@ -10,7 +10,7 @@ Usage::
     python -m repro fig9a --backend replay
     python -m repro trace route --packets 200
     python -m repro traffic flash-crowd --seed 0
-    python -m repro lint --json
+    python -m repro lint --format json
     python -m repro check --quick
 
 Experiment ids follow DESIGN.md's experiment index.  ``trace`` is a

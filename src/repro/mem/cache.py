@@ -204,7 +204,7 @@ class Cache:
     def _fill(self, line_address: int) -> CacheLine:
         set_index = self._set_index(line_address)
         self._evict_if_needed(set_index)
-        data = bytearray(self._lower_read_line(line_address))  # reprolint: disable=hot-path-alloc (the line's backing store itself; one allocation per fill by design)
+        data = bytearray(self._lower_read_line(line_address))
         line = CacheLine(tag=self._tag(line_address), data=data,
                          last_use=self.clock)
         self.sets[set_index].append(line)

@@ -176,11 +176,11 @@ class CorrelatedFaultMap(FaultMap):
             raise ValueError(
                 f"weak_multiplier {weak_multiplier} infeasible for "
                 f"{rows} rows")
-        weak_rows = frozenset(rng.sample(range(rows), weak_count))  # reprolint: disable=hot-path-alloc (map sampling runs once at injector construction, never per access)
+        weak_rows = frozenset(rng.sample(range(rows), weak_count))
         strong = ((rows - weak_count * weak_multiplier)
                   / (rows - weak_count))
         if ways > 1:
-            way_factors = tuple(  # reprolint: disable=hot-path-alloc (map sampling runs once at injector construction, never per access)
+            way_factors = tuple(
                 1.0 + way_spread * (2.0 * way / (ways - 1) - 1.0)
                 for way in range(ways))
         else:
@@ -221,13 +221,13 @@ class TieredFaultMap(FaultMap):
         assignment -- while the normalised multiplier multiset, and
         therefore the uniform-address marginal, is seed-independent.
         """
-        raw = [tier_strong, tier_normal, tier_weak]  # reprolint: disable=hot-path-alloc (map sampling runs once at injector construction, never per access)
+        raw = [tier_strong, tier_normal, tier_weak]
         mean = sum(raw) / len(raw)
-        normalised = [value / mean for value in raw]  # reprolint: disable=hot-path-alloc (map sampling runs once at injector construction, never per access)
+        normalised = [value / mean for value in raw]
         rng = random.Random(seed ^ MAP_SEED_SALT)
         rng.shuffle(normalised)
         return cls(band_bytes=int(band_bytes),
-                   multipliers=tuple(normalised))  # reprolint: disable=hot-path-alloc (map sampling runs once at injector construction, never per access)
+                   multipliers=tuple(normalised))
 
     def tier_of(self, address: int) -> int:
         """The tier index an address' band is assigned to."""

@@ -30,16 +30,6 @@ from repro.core.fault_model import FaultModel, default_fault_model
 from repro.mem.faultmaps import (MAPPED_INJECTOR_NAMES, FaultMap,
                                  make_fault_map)
 
-#: Selectable injector implementations (``ExperimentConfig.injector`` /
-#: the CLI's ``--injector``).  ``reference`` is the per-access Bernoulli
-#: sampler the golden snapshots were frozen against; ``geometric`` is the
-#: statistically equivalent skip sampler (see
-#: :class:`GeometricFaultInjector`); ``correlated`` and ``tiered`` are
-#: the measured-silicon mapped family (see
-#: :class:`CorrelatedFaultInjector` / :class:`TieredFaultInjector` and
-#: :mod:`repro.mem.faultmaps`).
-INJECTOR_NAMES = ("reference", "geometric", "correlated", "tiered")
-
 #: Gap value meaning "no fault will ever be scheduled" (probability 0).
 #: Large enough that no realizable run can consume it.
 _NEVER = 1 << 62
@@ -146,7 +136,7 @@ class FaultInjector:
         # DESIGN.md, "Substitutions"); a per-bit reading over-counts by the
         # access width and is inconsistent with Table I's fallibility band.
         single, double, triple = self.model.multiplicity_probabilities(cycle_time)
-        scaled = tuple(min(p * self.scale, 1.0)  # reprolint: disable=hot-path-alloc (memoised in self._thresholds; computed once per cycle_time)
+        scaled = tuple(min(p * self.scale, 1.0)
                        for p in (single, double, triple))
         self._thresholds[key] = scaled
         return scaled
@@ -199,7 +189,7 @@ class FaultInjector:
         else:
             flips = 1
             self.stats.single_bit += 1
-        positions = tuple(self._rng.sample(range(bits), k=min(flips, bits)))  # reprolint: disable=hot-path-alloc (fault path only; the fault-free fast lane returned None above)
+        positions = tuple(self._rng.sample(range(bits), k=min(flips, bits)))
         return FaultEvent(bit_positions=positions)
 
     def record_kind(self, is_write: bool) -> None:
@@ -339,7 +329,7 @@ class GeometricFaultInjector(FaultInjector):
         else:
             flips = 1
             self.stats.single_bit += 1
-        positions = tuple(self._rng.sample(range(bits), k=min(flips, bits)))  # reprolint: disable=hot-path-alloc (fault path only; the fault-free fast lane returned None above)
+        positions = tuple(self._rng.sample(range(bits), k=min(flips, bits)))
         self._reschedule(cycle_time)
         return FaultEvent(bit_positions=positions)
 
@@ -432,6 +422,16 @@ _INJECTOR_CLASSES = {"reference": FaultInjector,
                      "geometric": GeometricFaultInjector,
                      "correlated": CorrelatedFaultInjector,
                      "tiered": TieredFaultInjector}
+
+#: Selectable injector implementations (``ExperimentConfig.injector`` /
+#: the CLI's ``--injector``).  ``reference`` is the per-access Bernoulli
+#: sampler the golden snapshots were frozen against; ``geometric`` is the
+#: statistically equivalent skip sampler (see
+#: :class:`GeometricFaultInjector`); ``correlated`` and ``tiered`` are
+#: the measured-silicon mapped family (see
+#: :class:`CorrelatedFaultInjector` / :class:`TieredFaultInjector` and
+#: :mod:`repro.mem.faultmaps`).
+INJECTOR_NAMES = tuple(_INJECTOR_CLASSES)
 
 
 def make_injector(name: str, **kwargs) -> FaultInjector:

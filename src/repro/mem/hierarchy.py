@@ -332,7 +332,7 @@ class MemoryHierarchy:
 
     def _drop_corruption_in_line(self, line_address: int) -> None:
         end = line_address + self.l1d.line_size
-        stale = [word for word in self.corruption  # reprolint: disable=hot-path-alloc (scrub path: runs only after detected corruption, not per access)
+        stale = [word for word in self.corruption
                  if line_address <= word < end]
         for word in stale:
             del self.corruption[word]
@@ -372,8 +372,8 @@ class MemoryHierarchy:
             byte_address = address + position // 8
             word = byte_address & ~3
             word_bit = (byte_address - word) * 8 + position % 8
-            by_word.setdefault(word, set()).add(word_bit)  # reprolint: disable=hot-path-alloc (fault path: reached only when an injector event fired)
-        return {word: frozenset(bits) for word, bits in by_word.items()}  # reprolint: disable=hot-path-alloc (fault path: reached only when an injector event fired)
+            by_word.setdefault(word, set()).add(word_bit)
+        return {word: frozenset(bits) for word, bits in by_word.items()}
 
     def _combined_corruption(self, address: int, length: int,
                              read_flips: "dict[int, frozenset[int]]",
@@ -440,9 +440,9 @@ class MemoryHierarchy:
             self.undetected_corruptions += 1
             return value, "clean"
         # SEC-DED: double-bit words dominate (uncorrectable, detected).
-        if any(len(bits) == 2 for bits in combined.values()):  # reprolint: disable=hot-path-alloc (corruption path: combined is non-empty only after a fault)
+        if any(len(bits) == 2 for bits in combined.values()):
             return value, "detected"
-        if any(len(bits) >= 3 for bits in combined.values()):  # reprolint: disable=hot-path-alloc (corruption path: combined is non-empty only after a fault)
+        if any(len(bits) >= 3 for bits in combined.values()):
             # Triple and heavier corruption aliases (possibly miscorrects);
             # it flows through silently.
             self.undetected_corruptions += 1

@@ -51,5 +51,5 @@ def detected_words(corruption_by_word: "dict[int, frozenset[int]]",
     decide whether a read raises a strike -- and telemetry uses the same
     word list to attribute the strike to a cache line.
     """
-    return tuple(word for word, bits in corruption_by_word.items()  # reprolint: disable=hot-path-alloc (corruption path: callers pass non-empty maps only after a fault)
+    return tuple(word for word, bits in corruption_by_word.items()
                  if detects(len(bits)))

@@ -379,7 +379,7 @@ class MemView:
 
     def read_bytes(self, address: int, length: int) -> bytes:
         """Load ``length`` bytes through the cache, byte by byte."""
-        return bytes(self.read_u8(address + offset)  # reprolint: disable=hot-path-alloc (bulk accessor: returning a fresh bytes object is its contract)
+        return bytes(self.read_u8(address + offset)
                      for offset in range(length))
 
     def write_u32_array(self, address: int, values: "list[int]") -> None:
@@ -389,4 +389,4 @@ class MemView:
 
     def read_u32_array(self, address: int, count: int) -> "list[int]":
         """Load ``count`` consecutive 32-bit words."""
-        return [self.read_u32(address + 4 * index) for index in range(count)]  # reprolint: disable=hot-path-alloc (bulk accessor: returning a fresh list is its contract)
+        return [self.read_u32(address + 4 * index) for index in range(count)]

@@ -6,7 +6,7 @@ from repro.analysis import lint_source, make_rules
 
 def facade_findings(source):
     return [finding for finding in
-            lint_source(source, "repro/api.py", make_rules(), profile="src")
+            lint_source(source, "repro/api.py", make_rules())
             if finding.rule == "private-import"]
 
 
@@ -99,6 +99,6 @@ class TestFacadeLintRule:
         findings = [
             finding for finding in lint_source(
                 "import json\nx = json.dumps({})\n",
-                "repro/harness/other.py", make_rules(), profile="src")
+                "repro/harness/other.py", make_rules())
             if finding.rule == "private-import"]
         assert findings == []

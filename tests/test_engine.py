@@ -238,17 +238,17 @@ class TestFigureRegeneration:
     def test_warm_edf_panel_byte_identical_and_5x_faster(self, tmp_path):
         """Figures 9-12 path: warm cache reproduces bytes at >=5x speed."""
         cold = CampaignEngine(store=ResultStore(tmp_path))
-        start = time.perf_counter()  # reprolint: disable=determinism
+        start = time.perf_counter()
         cold_text = render_edf("tl", "Figure 10", engine=cold,
                                **self.EDF_KWARGS)
-        cold_elapsed = time.perf_counter() - start  # reprolint: disable=determinism
+        cold_elapsed = time.perf_counter() - start
         assert cold.counters.get("campaign.simulated") > 0
 
         warm = CampaignEngine(store=ResultStore(tmp_path))
-        start = time.perf_counter()  # reprolint: disable=determinism
+        start = time.perf_counter()
         warm_text = render_edf("tl", "Figure 10", engine=warm,
                                **self.EDF_KWARGS)
-        warm_elapsed = time.perf_counter() - start  # reprolint: disable=determinism
+        warm_elapsed = time.perf_counter() - start
 
         assert warm.counters.get("campaign.simulated") == 0
         assert warm_text == cold_text

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck check check-deep bench artifacts examples trace-demo all clean
+.PHONY: install test lint typecheck check check-deep bench perfbench artifacts examples trace-demo all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -31,6 +31,11 @@ check-deep:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The Figures 9-12 benchmark's own contract tests (about six minutes;
+# see perfbench/README.md).
+perfbench:
+	$(PYTHON) -m pytest perfbench -q
 
 # Regenerate every paper artifact via the CLI (quick versions).
 # Results persist in .repro-cache, so a re-run after an interrupt or a

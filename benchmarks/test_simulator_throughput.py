@@ -247,7 +247,7 @@ class TestReplayBackendThroughput:
 
     def test_replay_speedup_on_fig9_12_sweep(self, once, artifact_dir):
         from repro.replay import TraceStore, set_trace_store, trace_store
-        from repro.replay.backend import fallback_count, run_replay
+        from repro.replay.backend import fallback_reasons, run_replay
 
         packets = int(os.environ.get("REPRO_THROUGHPUT_PACKETS", "60"))
 
@@ -255,7 +255,7 @@ class TestReplayBackendThroughput:
             previous = set_trace_store(TraceStore())
             try:
                 execute_times, replay_times = {}, {}
-                fallbacks_before = fallback_count()
+                reasons_before = fallback_reasons()
                 for app in NETBENCH_APPS:
                     replay_configs = _fig9_12_configs(app, packets,
                                                       "replay")
@@ -269,12 +269,14 @@ class TestReplayBackendThroughput:
                     replayed = time.perf_counter()
                     execute_times[app] = executed - started
                     replay_times[app] = replayed - executed
-                fallbacks = fallback_count() - fallbacks_before
-                return execute_times, replay_times, fallbacks
+                reasons = {reason: count - reasons_before[reason]
+                           for reason, count in fallback_reasons().items()}
+                return execute_times, replay_times, reasons
             finally:
                 set_trace_store(previous)
 
-        execute_times, replay_times, fallbacks = once(sweep)
+        execute_times, replay_times, reasons = once(sweep)
+        fallbacks = sum(reasons.values())
         execute_total = sum(execute_times.values())
         replay_total = sum(replay_times.values())
         speedup = execute_total / replay_total
@@ -288,6 +290,8 @@ class TestReplayBackendThroughput:
             "execute_seconds": round(execute_total, 3),
             "replay_seconds": round(replay_total, 3),
             "replay_fallbacks": fallbacks,
+            # Report only: why each fallback left the replay lane.
+            "replay_fallback_reasons": reasons,
             "speedup": round(speedup, 3),
             "gate": self.MIN_SPEEDUP,
             "per_app": {

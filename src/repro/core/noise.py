@@ -25,6 +25,7 @@ Three pieces of the paper's fault-physics chain live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +138,7 @@ class NoiseImmunityModel:
         return pairs
 
 
+@functools.lru_cache(maxsize=1024)
 def failure_probability(
     immunity: NoiseImmunityModel,
     relative_swing: float,
@@ -152,6 +154,12 @@ def failure_probability(
         P_E(Vsr) = integral over Dr of P(Dr) * P(A > A_crit(Dr, Vsr)) dDr
 
     computed with the midpoint rule (the integrand is smooth and bounded).
+
+    Memoised per process: every argument is a frozen dataclass or a
+    number, and the 400-step integral sits under every
+    :meth:`~repro.core.fault_model.FaultModel.calibrated` and
+    ``single_bit_probability`` call.  ``failure_probability.__wrapped__``
+    is the plain integral.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

@@ -169,16 +169,16 @@ class ExperimentConfig:
         Golden observations depend only on the workload identity (app,
         packet count, seed, workload kwargs) -- never on the clock,
         policy, or fault scale -- so the golden config drops every other
-        axis back to its default.  The ``injector`` is carried over: a
-        disabled injector draws no faults regardless of implementation,
-        so it cannot change the observations, but a skip-capable one
-        lets the golden run ride the fault-free fast lane.  This is the
-        one sanctioned way to build a reference run (the profiler and
-        the golden cache both use it).
+        axis back to its default.  The injector is always the
+        skip-capable ``geometric`` one: a disabled injector draws no
+        faults whatever its implementation, so it cannot change the
+        observations, and this one lets every golden run ride the
+        MemView fast lane.  This is the one sanctioned way to build a
+        reference run (the profiler and the golden cache both use it).
         """
         return ExperimentConfig(
             app=self.app, packet_count=self.packet_count, seed=self.seed,
-            injector=self.injector, scenario=self.scenario,
+            injector="geometric", scenario=self.scenario,
             workload_kwargs=dict(self.workload_kwargs))
 
     def to_json(self) -> "dict[str, object]":

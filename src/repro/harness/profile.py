@@ -47,8 +47,11 @@ def profile_workload(app: str, packet_count: int = 300, seed: int = 7,
 
     The profiling run is exactly the golden reference run of the
     workload's configuration (``ExperimentConfig.golden()``, which
-    always carries the ``execute`` backend), so the profile describes
-    the same execution the experiment runner compares against.  It
+    always carries the ``execute`` backend and a disabled ``geometric``
+    injector), so the profile describes the same execution the
+    experiment runner compares against.  That run rides the MemView
+    fast lane; its cache and processor counters are identical to the
+    slow path's, which is all a profile reads.  It
     deliberately bypasses :func:`repro.harness.engine.run`: the profile
     reads the live hierarchy and processor counters from the raw
     :class:`RunOutcome`, which no backend's reduced

@@ -62,9 +62,21 @@ CODE_VERSION = "clumsy-repro-v5"
 _CHUNK_DIGEST_LENGTH = 12
 
 #: Process-local sequence for temp-file uniqueness: two stores (or two
-#: threads) in the same process writing the same chunk concurrently
+#: threads) in the same process writing the same file concurrently
 #: must not share a temp path either.
 _TEMP_SEQUENCE = itertools.count()
+
+
+def writer_temp_path(directory: Path, name: str) -> Path:
+    """A writer-unique temp sibling in ``directory`` for the file ``name``.
+
+    Suffixing pid + a process-local counter guarantees no two writers --
+    processes sharing one ``--cache-dir``, or threads of one process --
+    ever open the same temp file, closing the interleaved-write and
+    vanished-temp hazards a name-only temp had.  The file is written
+    there and then ``os.replace``d onto its final name.
+    """
+    return directory / f".tmp-{name}-{os.getpid()}-{next(_TEMP_SEQUENCE)}"
 
 
 def canonical_json(payload: object) -> str:
@@ -227,17 +239,12 @@ class ResultStore:
         return final
 
     def _temp_path(self, digest: str) -> Path:
-        """A writer-unique temp sibling for the chunk named ``digest``.
-
-        Suffixing pid + a process-local counter guarantees no two
-        writers -- engine processes sharing one ``--cache-dir``, or
-        threads of one process -- ever open the same temp file, closing
-        the interleaved-write hazard a digest-only name had.  Residue from a
-        killed writer is invisible to :meth:`refresh` (it only globs
-        ``*.jsonl``) and gets overwritten-by-rename never, reused never.
+        """A writer-unique temp sibling for the chunk named ``digest``
+        (see :func:`writer_temp_path`).  Residue from a killed writer is
+        invisible to :meth:`refresh` (it only globs ``*.jsonl``) and gets
+        overwritten-by-rename never, reused never.
         """
-        return self.cache_dir / (
-            f".tmp-{digest}-{os.getpid()}-{next(_TEMP_SEQUENCE)}")
+        return writer_temp_path(self.cache_dir, digest)
 
     def put(self, result: ExperimentResult) -> "Path | None":
         """Persist a single result (one-entry chunk)."""

@@ -13,6 +13,7 @@ cannot model fall back to faithful execution.
 
 from repro.replay.backend import (
     fallback_count,
+    fallback_reasons,
     run_replay,
     set_trace_store,
     trace_store,
@@ -26,6 +27,7 @@ __all__ = [
     "Trace",
     "TraceStore",
     "fallback_count",
+    "fallback_reasons",
     "record_trace",
     "replay_trace",
     "run_replay",

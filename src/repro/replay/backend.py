@@ -6,10 +6,12 @@ Registered under :data:`repro.harness.backends.BACKEND_NAMES` as
 batch of configs is served trace-first: each config's workload trace is
 recorded (or fetched from the :class:`~repro.replay.trace.TraceStore`)
 and handed to :func:`~repro.replay.replayer.replay_trace`; configs the
-replayer declines -- active L2-fill faults, burst mode, or a sampled
-fault reaching a branched-on value -- fall back transparently to the
+replayer declines -- a static refusal
+(:func:`~repro.replay.replayer.decline_reason`) or a sampled fault
+reaching a branched-on value -- fall back transparently to the
 faithful :func:`~repro.harness.experiment.run_experiment`, so the
-backend is *always correct* and merely usually fast.
+backend is *always correct* and merely usually fast.  Each fallback is
+counted under its reason (:func:`fallback_reasons`).
 
 The module-level trace store is process-wide by default (in-memory
 memo); the CLI points it at ``<cache_dir>/traces`` so traces persist
@@ -23,14 +25,19 @@ from pathlib import Path
 from repro.harness.backends import register_backend
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.replay.replayer import replay_trace
+from repro.replay.replayer import decline_reason, replay_trace
 from repro.replay.trace import TraceStore
 
 _TRACE_STORE = TraceStore()
 
-#: Fallbacks (configs the replayer declined) since process start --
-#: observability for the perf lane and the oracle.
-_FALLBACKS = 0
+#: Why a config falls back: the static refusals of
+#: :func:`~repro.replay.replayer.decline_reason`, then ``"diverged"``
+#: (a sampled fault the statistical lane cannot bound).
+FALLBACK_REASONS = ("l2-fill", "burst", "mapped", "way-disable", "diverged")
+
+#: Fallbacks (configs the replayer declined) since process start, by
+#: reason -- observability for the perf lane and the oracle.
+_FALLBACKS = dict.fromkeys(FALLBACK_REASONS, 0)
 
 
 def trace_store() -> TraceStore:
@@ -64,9 +71,15 @@ def configure_backend(cache_dir: "str | None") -> None:
         set_trace_store(TraceStore(Path(cache_dir) / "traces"))
 
 
+def fallback_reasons() -> "dict[str, int]":
+    """Replay requests served by faithful execution since process start,
+    per reason (every reason of :data:`FALLBACK_REASONS`, in order)."""
+    return dict(_FALLBACKS)
+
+
 def fallback_count() -> int:
     """Replay requests served by faithful execution since process start."""
-    return _FALLBACKS
+    return sum(_FALLBACKS.values())
 
 
 def run_replay(
@@ -75,15 +88,15 @@ def run_replay(
 
     Each config replays over its workload's recorded trace; ``None``
     from the replayer (divergence or an unsupported fault mode) falls
-    back to faithful execution of that config alone.
+    back to faithful execution of that config alone, counted under its
+    reason.
     """
-    global _FALLBACKS
     results: "list[ExperimentResult]" = []
     for config in configs:
         trace = _TRACE_STORE.get_or_record(config)
         result = replay_trace(trace, config)
         if result is None:
-            _FALLBACKS += 1
+            _FALLBACKS[decline_reason(config) or "diverged"] += 1
             result = run_experiment(config)
         results.append(result)
     return results

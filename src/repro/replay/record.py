@@ -2,27 +2,30 @@
 
 Recording runs the real kernel -- the same applications, caches, and
 allocator the ``execute`` backend uses -- with fault injection fully
-disengaged (reference injector, scale 0, disabled, no-detection
+disengaged (a disabled ``geometric`` injector at scale 0, no-detection
 policy, nominal clock) and three thin recording shims layered on top:
 
-* :class:`RecordingHierarchy` appends a READ/WRITE event after every
-  CPU-initiated access and a traffic event from each fill/writeback
-  callback (*after* delegating to the real implementation, so event
+* :class:`RecordingMemView` appends a READ/WRITE event after every
+  typed access (*after* delegating to the real accessor, so event
   order matches the execute backend's charge order: the fills a miss
-  triggers precede the access that triggered them);
-* :class:`RecordingEnvironment` records every ``work()`` charge;
-* :class:`RecordingMemView` additionally plans the resident-prefix
-  chunks of bulk stores (``write_bytes``), emitting one merged WRITE
-  event per chunk exactly where the geometric injector's fast lane
-  would serve a chunk -- while still applying the underlying writes
-  byte-by-byte, so the simulated state stays byte-exact.
+  triggers precede the access that triggered them), and plans the
+  resident-prefix chunks of bulk stores (``write_bytes``), emitting one
+  merged WRITE event per chunk exactly where the geometric injector's
+  fast lane serves a chunk;
+* :class:`RecordingHierarchy` appends a traffic event from each
+  fill/writeback callback;
+* :class:`RecordingEnvironment` records every ``work()`` charge.
 
-Because the recording run is fault-free, the reference injector draws
-nothing, the fast lane never engages (``supports_skip`` is false), and
-every access funnels through :meth:`MemoryHierarchy.read`/``write`` --
-one recorded event per architectural access.  The clock setting only
-scales charges, never the access stream, so recording at ``Cr = 1``
-is sufficient for every replayed clock.
+The disabled geometric injector offers the MemView fast lane with
+nothing scheduled, so resident accesses are served in the view and only
+misses reach :meth:`MemoryHierarchy.read`/``write`` -- the same fast
+lane golden runs take.  The view records each access whichever path
+serves it: one recorded event per architectural access (one per chunk
+for bulk stores).  The fast lane's chunked energy add differs from
+per-byte adds in the last ulp, but a recording keeps only its events,
+never its charges.  The clock setting only scales charges, never the
+access stream, so recording at ``Cr = 1`` is sufficient for every
+replayed clock.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ALLOCATION_BASE, load_workload
 from repro.mem.allocator import BumpAllocator
 from repro.mem.errors import MemoryAccessError
-from repro.mem.faults import FaultInjector
+from repro.mem.faults import GeometricFaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
 from repro.replay.trace import (
@@ -68,8 +71,8 @@ class TraceRecorder:
         self.counts: "list[int]" = []
         self.packet_starts: "list[int]" = []
         #: While true, events are dropped -- the bulk-store chunk
-        #: planner replays its bytes through the real write path for
-        #: state, then emits one merged event itself.
+        #: planner stores a chunk through the real view for state, then
+        #: emits one merged event itself.
         self.suppress = False
 
     def emit(self, kind: int, address: int = 0, width: int = 0,
@@ -106,7 +109,7 @@ class TraceRecorder:
 
 
 class RecordingHierarchy(MemoryHierarchy):
-    """Memory hierarchy that appends an event per access and transfer."""
+    """Memory hierarchy that appends an event per line transfer."""
 
     def __init__(self, recorder: TraceRecorder, *args, **kwargs) -> None:
         # Set before super().__init__: the Cache constructor binds the
@@ -126,15 +129,6 @@ class RecordingHierarchy(MemoryHierarchy):
         super()._on_l1_line_leaves(line_address)
         self.recorder.emit(KIND_WRITEBACK, line_address)
 
-    def read(self, address: int, length: int) -> int:
-        value = super().read(address, length)
-        self.recorder.emit(KIND_READ, address, width=length)
-        return value
-
-    def write(self, address: int, value: int, length: int) -> None:
-        super().write(address, value, length)
-        self.recorder.emit(KIND_WRITE, address, width=length)
-
 
 @dataclass
 class RecordingEnvironment(Environment):
@@ -151,17 +145,18 @@ class RecordingEnvironment(Environment):
 
 
 class RecordingMemView(MemView):
-    """MemView that plans the geometric fast lane's bulk-store chunks.
+    """MemView that records every typed access and bulk-store chunk.
 
+    Each typed accessor delegates to the real one, then emits its event.
     ``write_bytes`` under the geometric injector serves line-resident
     prefixes as merged chunks (one lookup, one ``k * charge`` energy
     add) and falls back to per-byte stores from the first non-resident
     chunk onward.  Residency during a fault-free bulk store never
     changes mid-chunk (write hits fill nothing), so the chunk structure
-    is a pure function of the recorded state -- this shim reproduces the
-    execute backend's chunk boundaries while keeping state evolution
-    byte-exact (each planned byte still goes through the real write
-    path, with recording suppressed, then one merged event is emitted).
+    is a pure function of the recorded state: this shim stores each
+    resident chunk through :meth:`MemView.write_bytes` with recording
+    suppressed, emits one merged event for it, and stores the rest byte
+    by byte through the recording :meth:`write_u8`.
     """
 
     def __init__(self, hierarchy: RecordingHierarchy,
@@ -169,14 +164,40 @@ class RecordingMemView(MemView):
         super().__init__(hierarchy)
         self.recorder = recorder
 
+    def read_u8(self, address: int) -> int:
+        value = super().read_u8(address)
+        self.recorder.emit(KIND_READ, address, width=1)
+        return value
+
+    def read_u16(self, address: int) -> int:
+        value = super().read_u16(address)
+        self.recorder.emit(KIND_READ, address, width=2)
+        return value
+
+    def read_u32(self, address: int) -> int:
+        value = super().read_u32(address)
+        self.recorder.emit(KIND_READ, address, width=4)
+        return value
+
+    def write_u8(self, address: int, value: int) -> None:
+        super().write_u8(address, value)
+        self.recorder.emit(KIND_WRITE, address, width=1)
+
+    def write_u16(self, address: int, value: int) -> None:
+        super().write_u16(address, value)
+        self.recorder.emit(KIND_WRITE, address, width=2)
+
+    def write_u32(self, address: int, value: int) -> None:
+        super().write_u32(address, value)
+        self.recorder.emit(KIND_WRITE, address, width=4)
+
     def write_bytes(self, address: int, data: bytes) -> None:
-        h = self.hierarchy
         recorder = self.recorder
-        l1d = h.l1d
+        l1d = self.hierarchy.l1d
         line_size = l1d.line_size
         start = 0
         total = len(data)
-        if address >= 0 and not h.corruption:
+        if address >= 0:
             while start < total:
                 addr = address + start
                 line_address = addr & -line_size
@@ -184,8 +205,7 @@ class RecordingMemView(MemView):
                 if not l1d.contains(addr):
                     break
                 recorder.suppress = True
-                for offset in range(chunk):
-                    h.write(addr + offset, data[start + offset], 1)
+                super().write_bytes(addr, data[start:start + chunk])
                 recorder.suppress = False
                 recorder.emit(KIND_WRITE, addr, width=1, count=chunk)
                 start += chunk
@@ -196,19 +216,20 @@ class RecordingMemView(MemView):
 def record_trace(config: ExperimentConfig) -> Trace:
     """Execute ``config``'s workload once, fault-free, recording events.
 
-    The recording stack is deliberately config-minimal: reference
-    injector at scale 0 (disabled), no-detection policy, nominal clock
-    -- only the workload identity and cache geometry influence the
-    event stream, which is why the trace is keyed by
+    The recording stack is deliberately config-minimal: geometric
+    injector at scale 0 (disabled, so the MemView fast lane serves every
+    resident access), no-detection policy, nominal clock -- only the
+    workload identity and cache geometry influence the event stream,
+    which is why the trace is keyed by
     :func:`repro.replay.trace.trace_key` and not the full config.
     """
     workload = load_workload(config)
     recorder = TraceRecorder()
     model = FaultModel.calibrated(
         quarter_cycle_multiplier=config.quarter_cycle_multiplier)
-    injector = FaultInjector(model=model,
-                             seed=config.seed * 1_000_003 + 17,
-                             scale=0.0, enabled=False)
+    injector = GeometricFaultInjector(model=model,
+                                      seed=config.seed * 1_000_003 + 17,
+                                      scale=0.0, enabled=False)
     processor = Processor()
     hierarchy = RecordingHierarchy(
         recorder, processor, injector, policy=NO_DETECTION,

@@ -67,35 +67,60 @@ _MEMORY_LATENCY = 100.0
 _PENALTY = float(constants.FREQUENCY_CHANGE_PENALTY_CYCLES)
 
 
+def _faulty(config: ExperimentConfig) -> bool:
+    """Whether ``config``'s fault law can inject anything."""
+    return config.fault_scale > 0 and config.planes != "none"
+
+
+def decline_reason(config: ExperimentConfig) -> "str | None":
+    """Why :func:`replay_trace` refuses ``config`` before pricing it.
+
+    ``None`` means the config is priced: on the exact lane when no fault
+    law is active, else on the statistical lane, which may still decline
+    a sampled fault (the ``"diverged"`` fallback).  The four static
+    refusals, in the order they are checked:
+
+    * ``"l2-fill"``: active L2-fill faults (the execute backend burns
+      injector RNG on every fill once the phase enables the injector,
+      even at scale 0);
+    * ``"burst"``: burst mode (per-access rate modulation);
+    * ``"mapped"``: a mapped injector (``correlated``/``tiered``: the
+      statistical lane samples fault *counts* from the flat marginal
+      law, which would silently erase the address-dependence those
+      injectors exist to model -- refusal over approximation);
+    * ``"way-disable"``: a way-disabling recovery policy (retired ways
+      change the miss pattern mid-run, invalidating the recorded trace).
+    """
+    if config.planes == "none":
+        return None
+    if config.l2_fill_fault_probability > 0:
+        return "l2-fill"
+    if not _faulty(config):
+        return None
+    if config.burst_start_probability > 0:
+        return "burst"
+    if config.injector in MAPPED_INJECTOR_NAMES:
+        return "mapped"
+    if config.policy.way_disable:
+        return "way-disable"
+    return None
+
+
 def replay_trace(trace: Trace,
                  config: ExperimentConfig) -> "ExperimentResult | None":
     """Replay ``config`` over ``trace``; ``None`` means fall back.
 
     The exact lane covers every configuration the fault law cannot
     touch; the statistical lane covers data-plane fault injection.
-    ``None`` is returned whenever faithful execution is required:
-    active L2-fill faults (the execute backend burns injector RNG on
-    every fill once the phase enables the injector, even at scale 0),
-    burst mode (per-access rate modulation), a mapped injector
-    (``correlated``/``tiered``: the statistical lane samples fault
-    *counts* from the flat marginal law, which would silently erase the
-    address-dependence those injectors exist to model -- refusal over
-    approximation), a way-disabling recovery policy (retired ways
-    change the miss pattern mid-run, invalidating the recorded trace),
-    or a sampled fault whose consequences reach a branched-on value.
+    ``None`` is returned whenever faithful execution is required: a
+    static refusal (:func:`decline_reason`), or a sampled fault whose
+    consequences reach a branched-on value.
     """
-    if config.l2_fill_fault_probability > 0 and config.planes != "none":
+    if decline_reason(config) is not None:
         return None
-    faulty = config.fault_scale > 0 and config.planes != "none"
-    if not faulty:
-        return _replay_exact(trace, config)
-    if config.burst_start_probability > 0:
-        return None
-    if config.injector in MAPPED_INJECTOR_NAMES:
-        return None
-    if config.policy.way_disable:
-        return None
-    return _FaultedReplay(trace, config).run()
+    if _faulty(config):
+        return _FaultedReplay(trace, config).run()
+    return _replay_exact(trace, config)
 
 
 # -- shared pricing machinery -------------------------------------------------
@@ -312,6 +337,21 @@ class _Expanded:
     sorted_words: np.ndarray
 
 
+def _packet_slot_starts(trace: Trace) -> np.ndarray:
+    """First access slot of each packet, then the total slot count.
+
+    Slots are numbered in execution order, one per architectural access
+    (a bulk-store event spans ``count`` slots), so a packet range's slots
+    are the contiguous run between two of these offsets and the control
+    plane owns ``[0, starts[0])``.
+    """
+    kind = trace.kind
+    slots = np.where(kind == KIND_WRITE, trace.count,
+                     (kind == KIND_READ).astype(np.int64))
+    prefix = np.concatenate(([0], np.cumsum(slots)))
+    return prefix[np.append(trace.packet_starts, trace.n_events)]
+
+
 def _expand_accesses(trace: Trace) -> _Expanded:
     """Split merged bulk-store events into per-byte access slots."""
     kind = trace.kind
@@ -348,7 +388,10 @@ class _FaultedReplay:
         # The execute backend seeds its injector from the same
         # expression, so seed replicas decorrelate identically.
         self.rng = np.random.default_rng(config.seed * 1_000_003 + 17)
-        self.exp = _expand_accesses(trace)
+        self.slot_starts = _packet_slot_starts(trace).tolist()
+        #: Per-slot arrays, built by the first sampled fault (most
+        #: priced configs sample none).
+        self._expanded: "_Expanded | None" = None
         n = trace.offered_packets
         self.injected = 0
         self.detected = 0
@@ -395,16 +438,25 @@ class _FaultedReplay:
             return "undetected"
         return "undetected"
 
-    def _sample_slots(self, slots: np.ndarray, cr: float) -> np.ndarray:
-        """Faulting slot positions among ``slots`` (sorted, unique)."""
+    @property
+    def exp(self) -> _Expanded:
+        """The trace's access slots, expanded on first use."""
+        if self._expanded is None:
+            self._expanded = _expand_accesses(self.trace)
+        return self._expanded
+
+    def _sample_slots(self, first: int, stop: int,
+                      cr: float) -> np.ndarray:
+        """Faulting slots among ``[first, stop)`` (sorted, unique)."""
+        n_slots = stop - first
         p = self._p_access(cr)
-        if p <= 0.0 or len(slots) == 0:
+        if p <= 0.0 or n_slots == 0:
             return np.empty(0, dtype=np.int64)
-        n_faults = int(self.rng.binomial(len(slots), min(p, 1.0)))
+        n_faults = int(self.rng.binomial(n_slots, min(p, 1.0)))
         if n_faults == 0:
             return np.empty(0, dtype=np.int64)
-        picked = self.rng.choice(len(slots), size=n_faults, replace=False)
-        return np.sort(slots[picked])
+        picked = self.rng.choice(n_slots, size=n_faults, replace=False)
+        return np.sort(first + picked)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -592,18 +644,16 @@ class _FaultedReplay:
 
     def run(self) -> "ExperimentResult | None":
         trace, config = self.trace, self.config
-        exp = self.exp
         n_packets = trace.offered_packets
         control_enabled = config.planes in ("control", "both")
         data_enabled = config.planes in ("data", "both")
-        control_mask = exp.packet < 0
         control_cr = (1.0 if config.dynamic
                       else (config.control_cycle_time
                             if config.control_cycle_time is not None
                             else config.cycle_time))
+        starts = self.slot_starts
         if control_enabled:
-            slots = np.nonzero(control_mask)[0]
-            for slot in self._sample_slots(slots, control_cr):
+            for slot in self._sample_slots(0, starts[0], control_cr):
                 self._process_fault(int(slot), control_cr)
                 if self.diverged:
                     return None
@@ -616,9 +666,8 @@ class _FaultedReplay:
                 block_end = min(packet_index + controller.epoch_packets,
                                 n_packets)
                 if data_enabled:
-                    mask = ((exp.packet >= packet_index)
-                            & (exp.packet < block_end))
-                    for slot in self._sample_slots(np.nonzero(mask)[0], cr):
+                    for slot in self._sample_slots(starts[packet_index],
+                                                   starts[block_end], cr):
                         self._process_fault(int(slot), cr)
                         if self.diverged:
                             return None
@@ -633,8 +682,8 @@ class _FaultedReplay:
                                                            changes)
         else:
             if data_enabled:
-                slots = np.nonzero(~control_mask)[0]
-                for slot in self._sample_slots(slots, config.cycle_time):
+                for slot in self._sample_slots(starts[0], starts[n_packets],
+                                               config.cycle_time):
                     self._process_fault(int(slot), config.cycle_time)
                     if self.diverged:
                         return None

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.store import CODE_VERSION, canonical_json
+from repro.harness.store import CODE_VERSION, canonical_json, writer_temp_path
 from repro.mem.allocator import Region
 
 #: Event kinds, in the ``kind`` array.  WORK charges abstract
@@ -117,10 +117,17 @@ class Trace:
         }
 
     def save(self, path: "Path | str") -> Path:
-        """Persist as a compressed ``.npz`` archive (atomic replace)."""
+        """Persist as a compressed ``.npz`` archive (atomic replace).
+
+        The archive is written to a writer-unique temp sibling (see
+        :func:`~repro.harness.store.writer_temp_path`) and renamed into
+        place, so processes saving one trace into a shared cache
+        directory never share a temp file; their renames race benignly
+        (identical bytes to an identical name).
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.parent / (".tmp-" + path.name)
+        temp = writer_temp_path(path.parent, path.name)
         with open(temp, "wb") as handle:
             np.savez_compressed(
                 handle,

@@ -8,11 +8,12 @@ section together; this test is the tripwire.
 
 The ``result_<app>.txt`` snapshots freeze the full default-config
 :class:`ExperimentResult` repr per application.  The default config uses
-the *reference* injector, so these guard two invariants at once: the
-simulation is seed-deterministic, and the fault-free fast lane is
-strictly opt-in -- any leak of fast-lane behaviour into reference runs
-(an extra RNG draw, a divergent stall or energy charge) shows up as a
-byte diff here.
+the *reference* injector for its faulty run, so these guard two
+invariants at once: the simulation is seed-deterministic, and the
+fault-free fast lane never leaks into a faulty reference run (an extra
+RNG draw, a divergent stall or energy charge shows up as a byte diff
+here).  The golden run, whose observations are all a result takes from
+it, rides the fast lane on every injector.
 
 Regenerate a snapshot intentionally with::
 

@@ -20,6 +20,8 @@ The statistical (faulted) contract is the oracle's job -- see
 from __future__ import annotations
 
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,8 @@ from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.replay import (
     Trace,
     TraceStore,
+    fallback_count,
+    fallback_reasons,
     record_trace,
     replay_trace,
     run_replay,
@@ -44,6 +48,7 @@ from repro.replay import (
     trace_key,
     trace_store,
 )
+from repro.replay.replayer import decline_reason
 from tests.strategies import make_config
 
 #: Result fields whose equality defines "the same simulation outcome".
@@ -69,30 +74,40 @@ def _fault_free(**overrides) -> ExperimentConfig:
     return make_config(fault_scale=0.0, **overrides)
 
 
+def _fallbacks_since(before: "dict[str, int]") -> "dict[str, int]":
+    """Fallbacks counted since ``before``, by reason (nonzero only)."""
+    after = fallback_reasons()
+    return {reason: after[reason] - before[reason] for reason in after
+            if after[reason] != before[reason]}
+
+
+def _assert_same_trace(first: Trace, second: Trace) -> None:
+    for name in ("kind", "address", "width", "count", "static",
+                 "packet_starts"):
+        np.testing.assert_array_equal(getattr(first, name),
+                                      getattr(second, name))
+    assert first.offered_packets == second.offered_packets
+    assert first.regions == second.regions
+    assert first.static_ranges == second.static_ranges
+
+
+def _save_repeatedly(arguments: "tuple[str, str, int]") -> None:
+    """Worker: load one archive, then save it ``count`` times to one path."""
+    source, target, count = arguments
+    trace = Trace.load(source)
+    for _ in range(count):
+        trace.save(target)
+
+
 class TestRecorder:
     def test_recording_is_deterministic(self):
         config = _fault_free()
-        first = record_trace(config)
-        second = record_trace(config)
-        for name in ("kind", "address", "width", "count", "static",
-                     "packet_starts"):
-            np.testing.assert_array_equal(getattr(first, name),
-                                          getattr(second, name))
-        assert first.offered_packets == second.offered_packets
-        assert first.regions == second.regions
-        assert first.static_ranges == second.static_ranges
+        _assert_same_trace(record_trace(config), record_trace(config))
 
     def test_trace_round_trips_through_npz(self, tmp_path):
         trace = record_trace(_fault_free())
         path = trace.save(tmp_path / "trace.npz")
-        loaded = Trace.load(path)
-        for name in ("kind", "address", "width", "count", "static",
-                     "packet_starts"):
-            np.testing.assert_array_equal(getattr(trace, name),
-                                          getattr(loaded, name))
-        assert loaded.offered_packets == trace.offered_packets
-        assert loaded.regions == trace.regions
-        assert loaded.static_ranges == trace.static_ranges
+        _assert_same_trace(Trace.load(path), trace)
 
     def test_trace_key_ignores_replay_parametrisation(self):
         base = _fault_free()
@@ -123,6 +138,77 @@ class TestRecorder:
         assert store.recordings == 1
 
 
+class TestConcurrentTraceWriters:
+    """Regression: writers saving one trace archive must not collide.
+
+    The hazard: ``Trace.save`` wrote through the fixed temp name
+    ``.tmp-<name>``, so two processes saving one trace into a shared
+    ``--cache-dir`` shared a temp file; the second rename found it gone
+    and the ``FileNotFoundError`` killed the sweep.  Temp names are now
+    unique per writer (pid + process-local sequence), as the result
+    store's are.
+    """
+
+    def test_temp_paths_unique_across_saves(self, tmp_path, monkeypatch):
+        trace = record_trace(_fault_free())
+        real_replace = os.replace
+        temps = []
+
+        def replace(source, destination):
+            temps.append(Path(source))
+            real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", replace)
+        for _ in range(5):
+            trace.save(tmp_path / "trace-abc.npz")
+        assert len(set(temps)) == 5  # no writer ever shares a temp file
+        for path in temps:
+            assert path.parent == tmp_path
+            assert path.name.startswith(".tmp-")
+            assert not path.match("*.npz")  # invisible to the store
+
+    def test_interleaved_saves_converge(self, tmp_path, monkeypatch):
+        """A second writer saving the same archive between the first
+        writer's temp write and its rename leaves one loadable archive."""
+        trace = record_trace(_fault_free())
+        target = tmp_path / "trace.npz"
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(source, destination):
+            if not interleaved:
+                interleaved.append(source)
+                trace.save(target)  # the other writer runs to completion
+            real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", replace)
+        trace.save(target)
+        assert interleaved
+        assert not list(tmp_path.glob(".tmp-*"))
+        _assert_same_trace(Trace.load(target), trace)
+
+    def test_concurrent_processes_saving_one_trace(self, tmp_path):
+        """Writer processes (more than cores on a small host, capped to
+        keep the test light) save one archive into one directory: every
+        save succeeds and one loadable archive stays."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        trace = record_trace(_fault_free())
+        source = trace.save(tmp_path / "source.npz")
+        shared = tmp_path / "shared"
+        target = shared / "trace.npz"
+        writers = min((os.cpu_count() or 1) + 1, 4)
+        with ProcessPoolExecutor(
+                max_workers=writers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            list(pool.map(_save_repeatedly,
+                          [(str(source), str(target), 100)] * writers,
+                          timeout=300))
+        assert [path.name for path in shared.iterdir()] == ["trace.npz"]
+        _assert_same_trace(Trace.load(target), trace)
+
+
 class TestReplayExactTwin:
     @pytest.mark.parametrize("overrides", [
         {},
@@ -151,20 +237,48 @@ class TestReplayExactTwin:
         assert _outcome(first) == _outcome(second)
 
     def test_l2_fill_faults_fall_back_to_execute(self, scratch_store):
-        from repro.replay.backend import fallback_count
         config = make_config(l2_fill_fault_probability=0.05,
                              backend="replay")
-        before = fallback_count()
+        assert decline_reason(config) == "l2-fill"
+        before = fallback_reasons()
         replayed = run_replay([config])[0]
-        assert fallback_count() == before + 1
+        assert _fallbacks_since(before) == {"l2-fill": 1}
         executed = run_experiment(config.with_options(backend="execute"))
         assert _outcome(replayed) == _outcome(executed)
 
     def test_replay_trace_declines_bursts(self, scratch_store):
         config = make_config(burst_start_probability=0.01, burst_length=5,
                              burst_multiplier=10.0)
+        assert decline_reason(config) == "burst"
         trace = scratch_store.get_or_record(config)
         assert replay_trace(trace, config) is None
+        before = fallback_reasons()
+        run_replay([config.with_options(backend="replay")])
+        assert _fallbacks_since(before) == {"burst": 1}
+
+    def test_diverged_faults_fall_back_to_execute(self, scratch_store):
+        # Control-plane faults corrupt the tables the kernel branches
+        # on: no static refusal applies, but the sampled replay diverges.
+        config = make_config(planes="control", fault_scale=3000.0,
+                             backend="replay")
+        assert decline_reason(config) is None
+        trace = scratch_store.get_or_record(config)
+        assert replay_trace(trace, config) is None
+        before = fallback_reasons()
+        replayed = run_replay([config])[0]
+        assert _fallbacks_since(before) == {"diverged": 1}
+        executed = run_experiment(config.with_options(backend="execute"))
+        assert _outcome(replayed) == _outcome(executed)
+
+    def test_fallback_count_sums_the_reasons(self, scratch_store):
+        run_replay([make_config(burst_start_probability=0.01,
+                                burst_length=5, burst_multiplier=10.0,
+                                backend="replay"),
+                    make_config(backend="replay")])
+        reasons = fallback_reasons()
+        assert tuple(reasons) == ("l2-fill", "burst", "mapped",
+                                  "way-disable", "diverged")
+        assert fallback_count() == sum(reasons.values())
 
     @pytest.mark.parametrize("overrides", [
         {"injector": "correlated"},
@@ -180,18 +294,19 @@ class TestReplayExactTwin:
         # silently approximate.  The fallback must count *and* match the
         # execute backend exactly.
         from repro.core.recovery import policy_by_name
-        from repro.replay.backend import fallback_count
+        reason = "way-disable" if "policy" in overrides else "mapped"
         if "policy" in overrides:
             overrides = dict(overrides,
                              policy=policy_by_name(overrides["policy"]),
                              l1_associativity=2)
         config = make_config(backend="replay", **overrides)
+        assert decline_reason(config) == reason
         trace = scratch_store.get_or_record(
             config.with_options(backend="execute"))
         assert replay_trace(trace, config) is None
-        before = fallback_count()
+        before = fallback_reasons()
         replayed = run_replay([config])[0]
-        assert fallback_count() == before + 1
+        assert _fallbacks_since(before) == {reason: 1}
         executed = run_experiment(config.with_options(backend="execute"))
         assert _outcome(replayed) == _outcome(executed)
 

@@ -32,6 +32,10 @@ cost can be *measured* rather than assumed:
 
 ``no-detection`` disables protection entirely: faults flow silently into
 the application.
+
+:meth:`RecoveryPolicy.classify` is the one table from a word's flipped-bit
+count to what its code makes of it; the memory hierarchy and the trace
+replayer both read it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ PROTECTION_CODES = ("none", "parity", "secded")
 FALLBACK_INVALIDATE = "invalidate-line"
 FALLBACK_SUB_BLOCK = "sub-block-refill"
 FALLBACK_WAY_DISABLE = "way-disable"
+
+#: What a protection code makes of one word's corruption, least to most
+#: severe: a read reports its worst word.  ``corrected`` and ``clean``
+#: values are usable; ``undetected`` corruption reaches the application
+#: silently; ``detected`` hands the read to the strike machinery.
+OUTCOMES = ("clean", "corrected", "undetected", "detected")
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,27 @@ class RecoveryPolicy:
     def fallback_action(self) -> str:
         """The recovery action's telemetry name (Section 4 / footnote 2)."""
         return FALLBACK_SUB_BLOCK if self.sub_block else FALLBACK_INVALIDATE
+
+    def classify(self, flips: int) -> str:
+        """The :data:`OUTCOMES` entry for ``flips`` corrupted bits in a word.
+
+        Parity flags odd-weight corruption and misses even-weight
+        corruption (the paper's 100x-rarer two-bit faults escape).
+        SEC-DED corrects one bit, detects two, and aliases silently at
+        three and beyond.  Without a code every corruption is silent.
+        """
+        if flips < 0:
+            raise ValueError("flip count must be non-negative")
+        if flips == 0:
+            return "clean"
+        if self.code == "parity":
+            return "detected" if flips % 2 else "undetected"
+        if self.code == "secded":
+            if flips == 1:
+                return "corrected"
+            if flips == 2:
+                return "detected"
+        return "undetected"
 
 
 #: The four schemes evaluated in the paper's Figures 9-12, in order.

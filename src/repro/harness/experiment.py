@@ -337,11 +337,6 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
         packet_cycles=tuple(packet_cycles))
 
 
-#: Backwards-compatible alias of :func:`execute_workload` (pre-telemetry
-#: callers imported the then-private name).
-_execute = execute_workload
-
-
 # Golden observations depend only on the workload identity, never on the
 # clock/policy/scale, so they are cached per (app, packets, seed, kwargs).
 _GOLDEN_CACHE: "dict[tuple, list[dict[str, object]]]" = {}
@@ -390,10 +385,6 @@ def load_workload(config: ExperimentConfig) -> Workload:
                                      prefix_count=prefix_count)
     return make_workload(config.app, config.packet_count, config.seed,
                          **config.workload_kwargs)
-
-
-#: Backwards-compatible alias of :func:`load_workload`.
-_load_workload = load_workload
 
 
 def run_experiment(config: ExperimentConfig,

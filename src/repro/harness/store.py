@@ -56,7 +56,11 @@ from repro.harness.experiment import ExperimentResult
 #: v5: the config JSON schema gained the ``fault_map_params`` field and
 #: the result schema gained ``ways_disabled`` (measured-silicon fault
 #: maps and way-disabling recovery).
-CODE_VERSION = "clumsy-repro-v5"
+#: v6: SEC-DED classifies the read after strike exhaustion like every
+#: other read (a single-bit fault there is corrected, a double-bit one
+#: counted as detected), and replay-priced configs sum ``energy.l1d``
+#: and ``energy.total`` in execution order.
+CODE_VERSION = "clumsy-repro-v6"
 
 #: Hex digits of the chunk-key digest used in chunk file names.
 _CHUNK_DIGEST_LENGTH = 12

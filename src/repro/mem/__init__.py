@@ -6,7 +6,7 @@ from repro.mem.cache import Cache, CacheLine, CacheStatistics
 from repro.mem.errors import MemoryAccessError, StraddlingAccessError
 from repro.mem.faults import FaultEvent, FaultInjector, FaultStatistics
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.parity import detects, parity_of_bytes, parity_of_int
+from repro.mem.parity import parity_of_bytes, parity_of_int
 from repro.mem.view import MemView
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "MemoryHierarchy",
     "Region",
     "StraddlingAccessError",
-    "detects",
     "parity_of_bytes",
     "parity_of_int",
 ]

@@ -24,11 +24,15 @@ intended value, so the word's stored state is inconsistent and reads keep
 flagging it; retries keep failing until the policy invalidates the block
 (or refetches the affected words, with ``sub_block``) from L2.
 
-Detection fidelity follows the codes exactly: parity catches odd-weight
-corruption and misses even-weight corruption (the paper's 100x-rarer
-two-bit faults escape); SEC-DED corrects single-bit corruption inline
-(scrubbing the stored copy), detects double-bit corruption, and aliases
-silently at three bits and beyond.  Corruption is tracked as the set of
+Detection fidelity follows the codes exactly, through the one table
+:meth:`repro.core.recovery.RecoveryPolicy.classify` that the trace
+replayer reads too: parity catches odd-weight corruption and misses
+even-weight corruption (the paper's 100x-rarer two-bit faults escape);
+SEC-DED corrects single-bit corruption inline (scrubbing the stored
+copy), detects double-bit corruption, and aliases silently at three bits
+and beyond.  A read covering several words reports its worst word.
+Every read attempt -- first, retry, or the read after strike exhaustion
+-- is classified the same way.  Corruption is tracked as the set of
 flipped bit positions per 32-bit word, so combinations of stored and
 in-flight corruption compose correctly (flips on the same position
 cancel).
@@ -69,9 +73,8 @@ Misses and straddling accesses always fall back to the full path
 from __future__ import annotations
 
 from repro.core import constants
-from repro.core.recovery import NO_DETECTION, RecoveryPolicy
+from repro.core.recovery import NO_DETECTION, OUTCOMES, RecoveryPolicy
 from repro.cpu.processor import Processor
-from repro.mem import parity
 from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache
 from repro.mem.errors import MemoryAccessError, StraddlingAccessError
@@ -403,14 +406,19 @@ class MemoryHierarchy:
     def _raw_read(self, address: int, length: int) -> "tuple[int, str]":
         """One L1 read attempt: returns ``(value, outcome)``.
 
-        ``outcome`` is ``"clean"`` (use the value), ``"corrected"``
-        (SEC-DED repaired it -- use the value), or ``"detected"`` (the
-        protection flagged an uncorrectable failure -- strike machinery
-        decides).  A line-straddling access (only reachable through a
-        corrupted pointer) returns deterministic garbage, as unaligned
-        loads do on ARM-class cores.  A genuinely out-of-range access
-        raises :class:`MemoryAccessError`, which the harness scores as a
-        fatal error -- the crash case of paper Section 2.
+        ``outcome`` is the worst covered word's
+        :meth:`~repro.core.recovery.RecoveryPolicy.classify` entry, in
+        :data:`~repro.core.recovery.OUTCOMES` order: ``"clean"``,
+        ``"corrected"`` (SEC-DED repaired every corrupted word -- use the
+        value), ``"undetected"`` (the corruption flows on silently and is
+        counted), or ``"detected"`` (the protection flagged an
+        uncorrectable failure -- strike machinery decides).  Without a
+        protection code every read is ``"clean"``.  A line-straddling
+        access (only reachable through a corrupted pointer) returns
+        deterministic garbage, as unaligned loads do on ARM-class cores.
+        A genuinely out-of-range access raises
+        :class:`MemoryAccessError`, which the harness scores as a fatal
+        error -- the crash case of paper Section 2.
         """
         try:
             value = int.from_bytes(self.l1d.read(address, length), "little")
@@ -434,29 +442,21 @@ class MemoryHierarchy:
         combined = self._combined_corruption(address, length, read_flips)
         if not combined:
             return value, "clean"
-        if self.policy.code == "parity":
-            if parity.detected_words(combined):
-                return value, "detected"
+        outcome = max((self.policy.classify(len(bits))
+                       for bits in combined.values()), key=OUTCOMES.index)
+        if outcome == "undetected":
             self.undetected_corruptions += 1
-            return value, "clean"
-        # SEC-DED: double-bit words dominate (uncorrectable, detected).
-        if any(len(bits) == 2 for bits in combined.values()):
-            return value, "detected"
-        if any(len(bits) >= 3 for bits in combined.values()):
-            # Triple and heavier corruption aliases (possibly miscorrects);
-            # it flows through silently.
-            self.undetected_corruptions += 1
-            return value, "clean"
-        # Every corrupted word has exactly one flipped bit: correct it.
-        for word, bits in combined.items():
-            bit = next(iter(bits))
-            byte_address = word + bit // 8
-            if address <= byte_address < address + length:
-                value ^= 1 << ((byte_address - address) * 8 + bit % 8)
-            self.corrected_faults += 1
-            if word in self.corruption:
-                self._scrub(word)
-        return value, "corrected"
+        elif outcome == "corrected":
+            # Every corrupted word has exactly one flipped bit: correct it.
+            for word, bits in combined.items():
+                bit = next(iter(bits))
+                byte_address = word + bit // 8
+                if address <= byte_address < address + length:
+                    value ^= 1 << ((byte_address - address) * 8 + bit % 8)
+                self.corrected_faults += 1
+                if word in self.corruption:
+                    self._scrub(word)
+        return value, outcome
 
     def _recover(self, address: int, length: int) -> None:
         """Strike budget exhausted: discard the suspect copy (Section 4).
@@ -557,30 +557,15 @@ class MemoryHierarchy:
             if self.tracer.enabled:
                 self._trace_strike(address, attempt=retry + 2)
         self._recover(address, length)
-        try:
-            value = int.from_bytes(self.l1d.read(address, length), "little")
-        except StraddlingAccessError:
-            self.wild_reads += 1
-            self._charge_l1_access(is_write=False)
-            return _garbage_value(address, length)
-        self._charge_l1_access(is_write=False)
         # The post-recovery read is itself an L1 access and can fault
         # again; the value is returned regardless (the strike budget is
         # spent), though a detected failure is still counted.
-        event = self.injector.draw(self._cycle_time, length * 8,
-                                   address)
-        if event is not None:
-            self.injector.record_kind(is_write=False)
-            self.fault_sites.append((address, False))
+        value, outcome = self._raw_read(address, length)
+        if outcome == "detected":
+            self.detected_faults += 1
             if self.tracer.enabled:
-                self._trace_fault(address, False, event)
-            value = event.apply(value)
-            if event.flip_count % 2 == 1:
-                self.detected_faults += 1
-                if self.tracer.enabled:
-                    # Detected after the strike budget was already spent.
-                    self._trace_strike(address,
-                                       attempt=self.policy.strikes + 1)
+                # Detected after the strike budget was already spent.
+                self._trace_strike(address, attempt=self.policy.strikes + 1)
         return value
 
     # -- write path -------------------------------------------------------------

@@ -4,6 +4,9 @@ The paper protects each 32-bit word of the L1 data cache with a single
 (even) parity bit.  A parity bit catches every odd-weight corruption of the
 word it protects and misses every even-weight corruption -- which is why
 the paper's two-bit faults (100x rarer than single-bit) escape detection.
+The simulator does not compute parity per access: it reads that rule from
+:meth:`repro.core.recovery.RecoveryPolicy.classify`, and the tests check
+the table against these functions.
 """
 
 from __future__ import annotations
@@ -32,24 +35,3 @@ def parity_of_int(value: int, bits: int = constants.PARITY_WORD_BITS) -> int:
         value &= value - 1
         parity ^= 1
     return parity
-
-
-def detects(flip_count: int) -> bool:
-    """Whether a single parity bit detects a ``flip_count``-bit corruption."""
-    if flip_count < 0:
-        raise ValueError("flip count must be non-negative")
-    return flip_count % 2 == 1
-
-
-def detected_words(corruption_by_word: "dict[int, frozenset[int]]",
-                   ) -> "tuple[int, ...]":
-    """Word addresses whose corruption a per-word parity bit flags.
-
-    ``corruption_by_word`` maps word addresses to the set of flipped bit
-    positions; only odd-weight corruption is detectable (the paper's
-    100x-rarer even-weight faults escape).  The hierarchy uses this to
-    decide whether a read raises a strike -- and telemetry uses the same
-    word list to attribute the strike to a cache line.
-    """
-    return tuple(word for word, bits in corruption_by_word.items()
-                 if detects(len(bits)))

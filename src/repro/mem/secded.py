@@ -6,7 +6,10 @@ the design and energy consumption".  This module implements the real
 (39,32) Hamming code with an overall parity bit -- Single Error Correction,
 Double Error Detection -- so the reproduction can *measure* that tradeoff
 instead of assuming it (see the ``secded`` recovery policies and the
-protection-scheme ablation bench).
+protection-scheme ablation bench).  The simulator does not run the codec
+per access: it reads the codec's outcome classes from
+:meth:`repro.core.recovery.RecoveryPolicy.classify`, and the tests check
+that table against :func:`encode` and :func:`decode`.
 
 Layout: check bits occupy codeword positions 1, 2, 4, 8, 16, 32 (1-based),
 data bits fill the remaining positions in order, and position 0 holds the
@@ -114,22 +117,3 @@ def decode(codeword: int) -> DecodeResult:
     # Even corruption weight with a non-zero syndrome: double error.
     return DecodeResult(data=extract(codeword), corrected=False,
                         detected_uncorrectable=True)
-
-
-def classify_flips(flip_count: int) -> str:
-    """SEC-DED outcome class for a corruption of ``flip_count`` data bits.
-
-    Returns one of ``"clean"``, ``"corrected"``, ``"detected"``,
-    ``"undetected"`` -- the semantic contract the memory hierarchy applies
-    without simulating the codec per access (3+-bit corruptions alias, so
-    they are scored as silent).
-    """
-    if flip_count < 0:
-        raise ValueError("flip count must be non-negative")
-    if flip_count == 0:
-        return "clean"
-    if flip_count == 1:
-        return "corrected"
-    if flip_count == 2:
-        return "detected"
-    return "undetected"

@@ -25,9 +25,9 @@ pays for itself.  The inlined path mutates only *public* state
 hierarchy's lease and charge attributes) and is effect-for-effect
 identical to the full path; anything it cannot serve -- no lease, a
 miss, a straddling or negative address, a non-skipping injector -- falls
-through to :meth:`MemoryHierarchy.read` / ``write``, which runs its own
-fast lane against the same shared lease, so the two copies cannot
-disagree about the fault schedule.
+through to :meth:`MemoryHierarchy.read` / ``write``, which refunds the
+unspent lease to the injector before drawing for the access, so the
+fault schedule continues exactly where the lane left it.
 """
 
 from __future__ import annotations

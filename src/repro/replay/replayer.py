@@ -1,37 +1,39 @@
 """Vectorized trace replayer: many configs over one recorded trace.
 
-Two lanes, chosen by whether the configuration can inject faults:
+One lane prices every accepted configuration.  The recorded event
+stream is re-priced under the config's clock segments and protection
+code with numpy: every cycle charge is a multiple of 0.5 (exactly
+representable, so float addition is associative here), and the L1D
+energy is accumulated in the execute backend's add order via a
+sequential ``cumsum`` -- per-access unit adds for the reference
+injector, one ``count * unit`` multiply-add per bulk-store chunk for the
+geometric injector's fast lane.
 
-**Exact lane** (fault-free: ``fault_scale == 0`` or ``planes ==
-"none"``, and no L2-fill faults).  The recorded event stream is
-re-priced under the config's clock segments and protection code with
-numpy, reproducing the execute backend bit-for-bit: every cycle charge
-is a multiple of 0.5 (exactly representable, so float addition is
-associative here), and the L1D energy is accumulated in the execute
-backend's add order via a sequential ``cumsum`` -- per-access unit adds
-for the reference injector, one ``count * unit`` multiply-add per
-bulk-store chunk for the geometric injector's fast lane.  The oracle's
-replay twin asserts field-by-field equality on this lane.
+Fault *sites* are sampled directly on top of that pricing -- a binomial
+count of faulting accesses per enabled plane/clock segment at the
+model's per-access probability, uniform positions among the segment's
+accesses -- and each sampled fault runs a compact micro-model of the
+hierarchy's detection/strike/recovery machinery.  Its per-read decision
+is the hierarchy's own table,
+:meth:`repro.core.recovery.RecoveryPolicy.classify` (parity detects
+odd-weight flips, SEC-DED corrects one and detects two); retries re-draw
+in-flight faults, exhausted strike budgets pay the invalidation + refill
++ re-access costs, and persistent write corruption marks packets
+erroneous until the next store covers the word.
 
-**Statistical lane** (faulted configs).  Fault *sites* are sampled
-directly -- a binomial count of faulting accesses per enabled
-plane/clock segment at the model's per-access probability, uniform
-positions among the segment's accesses -- and each sampled fault runs a
-compact micro-model of the hierarchy's detection/strike/recovery
-machinery: parity detects odd-weight flips, SEC-DED corrects one and
-detects two, retries re-draw in-flight faults, exhausted strike budgets
-pay the invalidation + refill + re-access costs, and persistent write
-corruption marks packets erroneous until the next store covers the
-word.  The lane is *statistically* equivalent to execution (same fault
-law, same expected costs), not trajectory-equivalent; the oracle twin
-checks it with the chi-square/KS machinery.  Divergence -- any fault
-whose consequences the micro-model cannot bound (control-plane
-corruption, a branched-on static value, active L2-fill faults, burst
-mode) -- returns ``None`` and the backend falls back to faithful
-execution.
+With no fault law active (``fault_scale == 0`` or ``planes == "none"``)
+the lane samples nothing, draws no random number, and reproduces the
+execute backend bit-for-bit; the oracle's replay twin asserts
+field-by-field equality there.  With faults, the lane is *statistically*
+equivalent to execution (same fault law, same expected costs), not
+trajectory-equivalent; the oracle twin checks it with the chi-square/KS
+machinery.  Divergence -- any fault whose consequences the micro-model
+cannot bound (control-plane corruption, a branched-on static value,
+active L2-fill faults, burst mode) -- returns ``None`` and the backend
+falls back to faithful execution.
 
-Documented approximations of the statistical lane (see DESIGN.md):
-fatal errors (wild pointers, watchdog trips) are not modeled; erroneous
+Documented approximations of faulted pricing (see DESIGN.md): fatal
+errors (wild pointers, watchdog trips) are not modeled; erroneous
 packets are marked deterministically from the fault window rather than
 re-executed; eviction of corrupted-but-undetected lines is ignored;
 category errors are reported under the single ``"modeled"`` key.
@@ -67,17 +69,11 @@ _MEMORY_LATENCY = 100.0
 _PENALTY = float(constants.FREQUENCY_CHANGE_PENALTY_CYCLES)
 
 
-def _faulty(config: ExperimentConfig) -> bool:
-    """Whether ``config``'s fault law can inject anything."""
-    return config.fault_scale > 0 and config.planes != "none"
-
-
 def decline_reason(config: ExperimentConfig) -> "str | None":
     """Why :func:`replay_trace` refuses ``config`` before pricing it.
 
-    ``None`` means the config is priced: on the exact lane when no fault
-    law is active, else on the statistical lane, which may still decline
-    a sampled fault (the ``"diverged"`` fallback).  The four static
+    ``None`` means the config is priced, though a sampled fault may
+    still decline it (the ``"diverged"`` fallback).  The four static
     refusals, in the order they are checked:
 
     * ``"l2-fill"``: active L2-fill faults (the execute backend burns
@@ -85,9 +81,9 @@ def decline_reason(config: ExperimentConfig) -> "str | None":
       even at scale 0);
     * ``"burst"``: burst mode (per-access rate modulation);
     * ``"mapped"``: a mapped injector (``correlated``/``tiered``: the
-      statistical lane samples fault *counts* from the flat marginal
-      law, which would silently erase the address-dependence those
-      injectors exist to model -- refusal over approximation);
+      replayer samples fault *counts* from the flat marginal law, which
+      would silently erase the address-dependence those injectors exist
+      to model -- refusal over approximation);
     * ``"way-disable"``: a way-disabling recovery policy (retired ways
       change the miss pattern mid-run, invalidating the recorded trace).
     """
@@ -95,7 +91,8 @@ def decline_reason(config: ExperimentConfig) -> "str | None":
         return None
     if config.l2_fill_fault_probability > 0:
         return "l2-fill"
-    if not _faulty(config):
+    if config.fault_scale == 0:
+        # Nothing faults, so bursts, maps and way retirement are inert.
         return None
     if config.burst_start_probability > 0:
         return "burst"
@@ -110,20 +107,16 @@ def replay_trace(trace: Trace,
                  config: ExperimentConfig) -> "ExperimentResult | None":
     """Replay ``config`` over ``trace``; ``None`` means fall back.
 
-    The exact lane covers every configuration the fault law cannot
-    touch; the statistical lane covers data-plane fault injection.
     ``None`` is returned whenever faithful execution is required: a
     static refusal (:func:`decline_reason`), or a sampled fault whose
     consequences reach a branched-on value.
     """
     if decline_reason(config) is not None:
         return None
-    if _faulty(config):
-        return _FaultedReplay(trace, config).run()
-    return _replay_exact(trace, config)
+    return _SampledReplay(trace, config).run()
 
 
-# -- shared pricing machinery -------------------------------------------------
+# -- event pricing ------------------------------------------------------------
 
 
 def _chunked(config: ExperimentConfig) -> bool:
@@ -136,22 +129,6 @@ def _chunked(config: ExperimentConfig) -> bool:
     """
     return (config.injector == "geometric"
             and config.burst_start_probability == 0.0)
-
-
-def _zero_fault_changes(n_packets: int) -> "list[tuple[int, float]]":
-    """Dynamic-clock changes when no faults are ever detected.
-
-    The execute backend always instantiates the controller for dynamic
-    configs (even at fault scale 0), so the zero-fault descent to the
-    fastest clock is part of the exact lane's contract.
-    """
-    controller = DynamicFrequencyController()
-    changes: "list[tuple[int, float]]" = []
-    for index in range(n_packets):
-        controller.record_fault(0)
-        if controller.packet_completed():
-            changes.append((index + 1, controller.cycle_time))
-    return changes
 
 
 def _build_segments(trace: Trace, config: ExperimentConfig,
@@ -237,6 +214,24 @@ def _per_event_costs(trace: Trace,
     return delta, l1d
 
 
+def _l1d_energy(trace: Trace, l1d_values: np.ndarray,
+                chunked: bool) -> float:
+    """L1D access energy summed in the execute backend's add order.
+
+    A sequential ``cumsum`` over the events in execution order
+    reproduces the execute backend's accumulation (and rounding)
+    exactly; the zeros of non-access events leave a running sum
+    unchanged, so no access mask is needed.  Without ``chunked`` a
+    count-k bulk store is k separate unit adds, so each store's value is
+    repeated ``count`` times.
+    """
+    ordered = l1d_values
+    if not chunked:
+        ordered = np.repeat(l1d_values, np.where(
+            trace.kind == KIND_WRITE, trace.count, 1))
+    return float(np.cumsum(ordered)[-1]) if len(ordered) else 0.0
+
+
 def _packet_cycles(trace: Trace, delta: np.ndarray) -> np.ndarray:
     """Per-packet cycle sums from the per-event deltas (penalty-free,
     exactly as the execute backend's before/after deltas land)."""
@@ -260,68 +255,7 @@ def _error_runs(flags: np.ndarray) -> "tuple[int, ...]":
     return tuple(runs)
 
 
-# -- the exact (fault-free) lane ----------------------------------------------
-
-
-def _replay_exact(trace: Trace,
-                  config: ExperimentConfig) -> ExperimentResult:
-    """Bit-exact fault-free pricing of the recorded event stream."""
-    model = EnergyModel()
-    code = config.policy.code
-    chunked = _chunked(config)
-    changes = (_zero_fault_changes(trace.offered_packets)
-               if config.dynamic else [])
-    segments, penalties, history = _build_segments(trace, config, changes)
-    delta, l1d_values = _per_event_costs(trace, segments, code, model,
-                                         chunked)
-    kind = trace.kind
-    access = (kind == KIND_READ) | (kind == KIND_WRITE)
-    if chunked:
-        ordered = l1d_values[access]
-    else:
-        # Reference injector: a count-k bulk store is k separate unit
-        # adds; expand so the sequential cumsum reproduces the execute
-        # backend's accumulation order (and rounding) exactly.
-        rep = np.where(kind[access] == KIND_WRITE, trace.count[access], 1)
-        ordered = np.repeat(l1d_values[access], rep)
-    l1d_energy = float(np.cumsum(ordered)[-1]) if len(ordered) else 0.0
-    cycles = float(delta.sum()) + _PENALTY * penalties
-    instructions = int(trace.count[kind == KIND_WORK].sum())
-    n_fills = int((kind == KIND_L1_FILL).sum())
-    n_writebacks = int((kind == KIND_WRITEBACK).sum())
-    l2_energy = model.l2_access_energy * (n_fills + n_writebacks)
-    core = cycles * model.core_energy_per_cycle
-    l1i = instructions * model.l1i_read_energy
-    reads = int((kind == KIND_READ).sum())
-    writes = int(trace.count[kind == KIND_WRITE].sum())
-    accesses = reads + writes
-    return ExperimentResult(
-        config=config,
-        offered_packets=trace.offered_packets,
-        processed_packets=trace.offered_packets,
-        erroneous_packets=0,
-        category_errors={},
-        fatal=False,
-        fatal_reason=None,
-        cycles=cycles,
-        instructions=instructions,
-        energy={"core": core, "l1d": l1d_energy, "l1i": l1i,
-                "l2": l2_energy,
-                "total": core + l1d_energy + l1i + l2_energy},
-        l1d_accesses=accesses,
-        l1d_miss_rate=n_fills / accesses if accesses else 0.0,
-        detected_faults=0,
-        injected_faults=0,
-        cycle_history=history,
-        fault_sites=(),
-        regions=trace.regions,
-        packet_cycles=tuple(float(value)
-                            for value in _packet_cycles(trace, delta)),
-        error_runs=(),
-    )
-
-
-# -- the statistical (faulted) lane -------------------------------------------
+# -- sampled faults -----------------------------------------------------------
 
 
 @dataclass
@@ -375,8 +309,8 @@ def _expand_accesses(trace: Trace) -> _Expanded:
         order=order, sorted_words=word[order])
 
 
-class _FaultedReplay:
-    """One faulted config's sampled replay over a trace."""
+class _SampledReplay:
+    """One config's replay over a trace, with its faults sampled."""
 
     def __init__(self, trace: Trace, config: ExperimentConfig) -> None:
         self.trace = trace
@@ -425,18 +359,6 @@ class _FaultedReplay:
         if roll < p3 + p2:
             return 2
         return 1
-
-    def _classify(self, flips: int) -> str:
-        code = self.policy.code
-        if code == "parity":
-            return "detected" if flips % 2 else "undetected"
-        if code == "secded":
-            if flips == 1:
-                return "corrected"
-            if flips == 2:
-                return "detected"
-            return "undetected"
-        return "undetected"
 
     @property
     def exp(self) -> _Expanded:
@@ -518,7 +440,7 @@ class _FaultedReplay:
         packet = int(exp.packet[slot])
         static = bool(exp.static[slot])
         word = int(exp.word[slot])
-        outcome = self._classify(self._draw_flips(cr))
+        outcome = self.policy.classify(self._draw_flips(cr))
         if is_write:
             self._write_fault(slot, cr, packet, static, word, outcome)
         else:
@@ -545,7 +467,7 @@ class _FaultedReplay:
             if self.rng.random() < p:
                 self.injected += 1
                 self.fault_sites.append((address, False))
-                retry = self._classify(self._draw_flips(cr))
+                retry = self.policy.classify(self._draw_flips(cr))
                 if retry == "detected":
                     self._bump_detected(packet)
                     continue
@@ -559,16 +481,19 @@ class _FaultedReplay:
             self._consume_corrupt(packet, static)
             return
         # Strike budget exhausted: recover from the reliable L2, then
-        # re-access (which can itself fault; the value flows regardless).
+        # re-access.  That read can fault too, and with the strike budget
+        # spent its value flows on unless SEC-DED corrects it.
         self._charge_recovery(packet)
         self._charge_access(packet, stall, unit)
         if self.rng.random() < p:
             self.injected += 1
             self.fault_sites.append((address, False))
-            if self._draw_flips(cr) % 2 == 1:
+            outcome = self.policy.classify(self._draw_flips(cr))
+            if outcome == "detected":
                 self._bump_detected(packet)
-            self._consume_corrupt(packet, static)
-            return
+            if outcome != "corrected":
+                self._consume_corrupt(packet, static)
+                return
         if packet < 0:
             # Control-plane recovery refetches possibly-stale tables.
             self.diverged = True
@@ -700,11 +625,6 @@ class _FaultedReplay:
         delta, l1d_values = _per_event_costs(
             trace, segments, self.policy.code, model, chunked)
         kind = trace.kind
-        if chunked:
-            base_l1d = float(l1d_values.sum())
-        else:
-            multiplier = np.where(kind == KIND_WRITE, trace.count, 1)
-            base_l1d = float((l1d_values * multiplier).sum())
         packet_cycles = (_packet_cycles(trace, delta)
                          + self.packet_extra_cycles)
         cycles = (float(delta.sum()) + _PENALTY * penalties
@@ -715,7 +635,8 @@ class _FaultedReplay:
         n_writebacks = int((kind == KIND_WRITEBACK).sum())
         l2_energy = (model.l2_access_energy * (n_fills + n_writebacks)
                      + self.extra_l2)
-        l1d_energy = base_l1d + self.extra_l1d
+        l1d_energy = (_l1d_energy(trace, l1d_values, chunked)
+                      + self.extra_l1d)
         core = cycles * model.core_energy_per_cycle
         l1i = instructions * model.l1i_read_energy
         reads = int((kind == KIND_READ).sum())

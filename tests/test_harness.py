@@ -7,8 +7,8 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     clear_golden_cache,
     golden_observations,
+    load_workload,
     run_experiment,
-    _load_workload,
 )
 from repro.harness.report import format_value, render_series, render_table
 from repro.harness.sweep import sweep
@@ -86,7 +86,7 @@ class TestRunner:
     def test_golden_cache_reused(self):
         clear_golden_cache()
         config = ExperimentConfig(app="tl", packet_count=10)
-        workload = _load_workload(config)
+        workload = load_workload(config)
         first = golden_observations(workload, config)
         second = golden_observations(workload, config)
         assert first is second

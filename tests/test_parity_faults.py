@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.fault_model import FaultModel
+from repro.core.recovery import TWO_STRIKE
 from repro.mem.faults import FaultEvent, FaultInjector
-from repro.mem.parity import detects, parity_of_bytes, parity_of_int
+from repro.mem.parity import parity_of_bytes, parity_of_int
 
 
 class TestParity:
@@ -25,18 +26,6 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_of_int(-1)
 
-    def test_detects_odd_misses_even(self):
-        # The paper's point: single parity catches 1/3-bit faults, misses
-        # 2-bit faults.
-        assert detects(1)
-        assert not detects(2)
-        assert detects(3)
-        assert not detects(0)
-
-    def test_detects_rejects_negative(self):
-        with pytest.raises(ValueError):
-            detects(-1)
-
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF),
            st.sets(st.integers(min_value=0, max_value=31), min_size=1,
                    max_size=5))
@@ -45,7 +34,8 @@ class TestParity:
         for position in positions:
             flipped ^= 1 << position
         changed = parity_of_int(flipped) != parity_of_int(value)
-        assert changed == detects(len(positions))
+        assert changed == (TWO_STRIKE.classify(len(positions))
+                           == "detected")
 
 
 class TestFaultEvent:

@@ -1,16 +1,38 @@
 """Detection/recovery policies (paper Section 4)."""
 
+import itertools
+
 import pytest
 
 from repro.core.recovery import (
     ALL_POLICIES,
     NO_DETECTION,
     ONE_STRIKE,
+    OUTCOMES,
+    SECDED,
     THREE_STRIKE,
     TWO_STRIKE,
     RecoveryPolicy,
     policy_by_name,
 )
+from repro.mem import secded
+from repro.mem.parity import parity_of_int
+
+#: Data words the codec checks corrupt.
+WORDS = (0, 0xC0FFEE42, 0xFFFFFFFF)
+
+#: SEC-DED codeword positions of the 32 data bits, in data-bit order:
+#: every position that is neither the overall parity bit (0) nor a
+#: Hamming check bit (a power of two).
+DATA_POSITIONS = tuple(position
+                       for position in range(1, secded.CODEWORD_BITS)
+                       if position & (position - 1))
+
+
+def _flip_masks(flips):
+    """Every way to flip ``flips`` of a word's 32 data bits."""
+    for positions in itertools.combinations(range(32), flips):
+        yield positions, sum(1 << position for position in positions)
 
 
 class TestPaperPolicies:
@@ -63,3 +85,53 @@ class TestValidation:
         # The scheme generalises beyond the paper's three strikes.
         policy = RecoveryPolicy("five-strike", strikes=5)
         assert policy.max_retries == 4
+
+
+class TestClassify:
+    """``RecoveryPolicy.classify`` against the real codecs, 0-3 flips."""
+
+    def test_parity_matches_the_parity_bit(self):
+        for flips in range(4):
+            for data in WORDS:
+                for _, mask in _flip_masks(flips):
+                    changed = parity_of_int(data ^ mask) != parity_of_int(
+                        data)
+                    expected = ("detected" if changed
+                                else "undetected" if mask else "clean")
+                    for policy in ALL_POLICIES[1:]:
+                        assert policy.classify(flips) == expected
+
+    def test_secded_matches_the_codec(self):
+        for flips in range(4):
+            for data in WORDS:
+                codeword = secded.encode(data)
+                for positions, _ in _flip_masks(flips):
+                    corrupted = codeword
+                    for position in positions:
+                        corrupted ^= 1 << DATA_POSITIONS[position]
+                    result = secded.decode(corrupted)
+                    if result.detected_uncorrectable:
+                        outcome = "detected"
+                    elif result.data != data:
+                        outcome = "undetected"   # silently wrong
+                    elif result.corrected:
+                        outcome = "corrected"
+                    else:
+                        outcome = "clean"
+                    assert SECDED.classify(flips) == outcome
+
+    def test_unprotected_corruption_is_silent(self):
+        assert NO_DETECTION.classify(0) == "clean"
+        for flips in (1, 2, 3):
+            assert NO_DETECTION.classify(flips) == "undetected"
+
+    def test_outcomes_cover_the_table(self):
+        seen = {policy.classify(flips)
+                for policy in (NO_DETECTION, TWO_STRIKE, SECDED)
+                for flips in range(4)}
+        assert seen == set(OUTCOMES)
+
+    def test_negative_flip_count_rejected(self):
+        for policy in (NO_DETECTION, TWO_STRIKE, SECDED):
+            with pytest.raises(ValueError):
+                policy.classify(-1)

@@ -230,6 +230,12 @@ class TestReplayExactTwin:
         replayed = run_replay([config.with_options(backend="replay")])[0]
         assert _outcome(replayed) == _outcome(executed)
 
+    def test_no_planes_at_nonzero_scale_is_exact(self, scratch_store):
+        config = make_config(planes="none", fault_scale=30.0)
+        executed = run_experiment(config)
+        replayed = run_replay([config.with_options(backend="replay")])[0]
+        assert _outcome(replayed) == _outcome(executed)
+
     def test_faulted_replay_is_seed_deterministic(self, scratch_store):
         config = make_config(backend="replay")
         first = run_replay([config])[0]
@@ -313,8 +319,8 @@ class TestReplayExactTwin:
     @pytest.mark.parametrize("injector", ["correlated", "tiered"])
     def test_fault_free_mapped_replay_is_exact(self, scratch_store,
                                                injector):
-        # With faults off the map never perturbs anything, so the exact
-        # repricing lane still applies to mapped configs.
+        # With faults off the map never perturbs anything, so the
+        # replayer still prices mapped configs exactly.
         config = _fault_free(injector=injector)
         executed = run_experiment(config)
         replayed = run_replay([config.with_options(backend="replay")])[0]

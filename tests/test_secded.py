@@ -15,7 +15,6 @@ from repro.core.recovery import (
 from repro.mem.secded import (
     CODEWORD_BITS,
     DecodeResult,
-    classify_flips,
     decode,
     encode,
 )
@@ -81,14 +80,6 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode(1 << CODEWORD_BITS)
 
-    def test_classification_contract(self):
-        assert classify_flips(0) == "clean"
-        assert classify_flips(1) == "corrected"
-        assert classify_flips(2) == "detected"
-        assert classify_flips(3) == "undetected"
-        with pytest.raises(ValueError):
-            classify_flips(-1)
-
 
 class TestPolicyPresets:
     def test_secded_policy_corrects(self):
@@ -143,6 +134,53 @@ class TestSecdedHierarchy:
         assert hierarchy.read(0x100, 4) == expected
         assert hierarchy.undetected_corruptions == 1
         assert hierarchy.detected_faults == 0
+
+    def test_two_word_read_reports_its_worst_word(self):
+        # A read of 0x102..0x105 covers words 0x100 and 0x104.  Next to
+        # a double-bit word, a correctable word still leaves the read
+        # detected; next to a triple-bit word the read is silent.
+        near = FaultEvent(bit_positions=(16,))   # byte 0x102, bit 0
+        triple = FaultEvent(bit_positions=(0, 7, 20))
+        hierarchy, _ = make_hierarchy(policy=SECDED, script=[near, EVEN])
+        hierarchy.write(0x100, 0, 4)
+        hierarchy.write(0x104, 0, 4)
+        assert hierarchy.read(0x102, 4) == 0     # two strikes, then L2
+        assert hierarchy.detected_faults == 2
+        assert hierarchy.corrected_faults == 0
+        hierarchy, _ = make_hierarchy(policy=SECDED, script=[near, triple])
+        hierarchy.write(0x100, 0, 4)
+        hierarchy.write(0x104, 0, 4)
+        assert hierarchy.read(0x102, 4) == 1 | (1 << 16) | (1 << 23)
+        assert hierarchy.undetected_corruptions == 1
+        assert hierarchy.detected_faults == 0
+        assert hierarchy.corrected_faults == 0
+
+    def test_single_bit_fault_after_strike_exhaustion_is_corrected(self):
+        # The read after strike exhaustion is classified like every other
+        # read: SEC-DED corrects its single-bit fault.
+        single = FaultEvent(bit_positions=(4,))
+        hierarchy, _ = make_hierarchy(
+            policy=SECDED, script=[None, EVEN, None, None, single])
+        hierarchy.write(0x100, 5, 4)
+        hierarchy.l1d.flush()            # 5 reaches L2
+        hierarchy.write(0x100, 5, 4)     # double-bit write corruption
+        assert hierarchy.read(0x100, 4) == 5
+        assert hierarchy.detected_faults == 2
+        assert hierarchy.corrected_faults == 1
+        assert hierarchy.recovery_invalidations == 1
+
+    def test_double_bit_fault_after_strike_exhaustion_is_detected(self):
+        # With the strike budget spent the value flows on, but the
+        # double-bit fault is counted.
+        hierarchy, _ = make_hierarchy(
+            policy=SECDED, script=[None, EVEN, None, None, EVEN])
+        hierarchy.write(0x100, 5, 4)
+        hierarchy.l1d.flush()
+        hierarchy.write(0x100, 5, 4)
+        assert hierarchy.read(0x100, 4) == 5 ^ (1 << 1) ^ (1 << 9)
+        assert hierarchy.detected_faults == 3
+        assert hierarchy.corrected_faults == 0
+        assert hierarchy.recovery_invalidations == 1
 
     def test_cancelling_flips_read_clean(self):
         # A read flip on the same position as stored corruption cancels:

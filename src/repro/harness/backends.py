@@ -20,7 +20,11 @@ from the rest of the harness, so ``config.py`` can validate backend
 names without creating an import cycle.  Backend modules self-register
 at import; :func:`backend_runner` lazily imports the owning module (via
 :data:`BACKEND_MODULES`) on first use, so callers never need to
-pre-import :mod:`repro.replay`.
+pre-import :mod:`repro.replay`.  A backend module may also define
+optional module-level hooks, which the harness reaches by module name
+alone: ``configure_backend(cache_dir)`` (:func:`configure_backend`),
+``warm(config)`` (:func:`warm_backend`) and ``fallback_reasons()``
+(:func:`backend_fallbacks`).
 """
 
 from __future__ import annotations
@@ -77,22 +81,54 @@ def backend_parent_parser() -> argparse.ArgumentParser:
     return parent
 
 
-def configure_backend(name: str, cache_dir: "str | None") -> None:
-    """Point backend ``name``'s persistent artifacts at ``cache_dir``.
+def _backend_hook(name: str, hook: str) -> "Callable | None":
+    """Backend ``name``'s optional module-level ``hook``, or ``None``.
 
-    Imports the owning module and calls its optional module-level
-    ``configure_backend(cache_dir)`` hook; backends without persistent
-    state (``execute`` -- result caching lives in the engine's
-    :class:`~repro.harness.store.ResultStore`) simply lack the hook and
-    this is a no-op.
+    Imports the owning module from :data:`BACKEND_MODULES`, so the
+    harness never imports a backend package directly.
     """
     if name not in BACKEND_NAMES:
         raise ValueError(f"unknown backend {name!r}; "
                          f"expected one of {BACKEND_NAMES}")
     module = importlib.import_module(BACKEND_MODULES[name])
-    configure = getattr(module, "configure_backend", None)
+    return getattr(module, hook, None)
+
+
+def configure_backend(name: str, cache_dir: "str | None") -> None:
+    """Point backend ``name``'s persistent artifacts at ``cache_dir``.
+
+    Calls the owning module's optional ``configure_backend(cache_dir)``
+    hook; backends without persistent state (``execute`` -- result
+    caching lives in the engine's
+    :class:`~repro.harness.store.ResultStore`) simply lack the hook and
+    this is a no-op.
+    """
+    configure = _backend_hook(name, "configure_backend")
     if configure is not None:
         configure(cache_dir)
+
+
+def warm_backend(name: str, config: object) -> None:
+    """Let backend ``name`` prepare ``config``'s workload.
+
+    Calls the owning module's optional ``warm(config)`` hook.  The golden
+    cache calls this on a miss, before it runs a golden execution of its
+    own: the ``replay`` hook records the workload's trace, and that
+    fault-free recording adopts its observations as the golden ones
+    (:func:`~repro.harness.experiment.remember_golden`).  ``execute`` has
+    no hook.
+    """
+    warm = _backend_hook(name, "warm")
+    if warm is not None:
+        warm(config)
+
+
+def backend_fallbacks(name: str) -> "dict[str, int]":
+    """Backend ``name``'s fallbacks to faithful execution since process
+    start, per reason, from its optional ``fallback_reasons()`` hook
+    (empty for a backend without one, such as ``execute``)."""
+    reasons = _backend_hook(name, "fallback_reasons")
+    return {} if reasons is None else reasons()
 
 
 def backend_runner(name: str) -> BackendRunner:

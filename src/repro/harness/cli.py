@@ -32,7 +32,11 @@ not already hold: resuming an interrupted sweep is re-running the same
 command.  Without ``--cache-dir`` a run is uncached.  A one-line
 campaign summary (``configs= cache_hits= simulated= chunks=``) is
 printed to stderr whenever caching is active -- CI asserts
-``simulated=0`` on the second of two identical runs.
+``simulated=0`` on the second of two identical runs.  Under
+``--backend replay`` a second stderr line counts the configs that fell
+back to faithful execution, by reason
+(``replay fallbacks: l2-fill= burst= mapped= way-disable= diverged=``),
+summed over every job.
 
 Backends: ``--backend {execute,replay}`` selects how configs become
 results (see :mod:`repro.harness.backends`).  The flag is defined once
@@ -48,7 +52,11 @@ import argparse
 import sys
 
 from repro.harness import figures, tables
-from repro.harness.backends import backend_parent_parser, configure_backend
+from repro.harness.backends import (
+    backend_fallbacks,
+    backend_parent_parser,
+    configure_backend,
+)
 from repro.harness.engine import CampaignEngine
 from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore
@@ -233,20 +241,24 @@ def _build_engine(cache_dir: "str | None",
 
 def _render_job(job: "tuple[str, int, tuple[int, ...], str | None, int, "
                      "str, str]",
-                ) -> "tuple[str, dict[str, int]]":
+                ) -> "tuple[str, dict[str, int], dict[str, int]]":
     """Render one experiment id (picklable worker for --max-workers).
 
-    Returns the artifact text plus the job engine's counter snapshot so
-    the parent can aggregate a campaign summary across processes.
+    Returns the artifact text plus the job engine's counter snapshot and
+    the backend's fallbacks during the job, by reason, so the parent can
+    aggregate a campaign summary across processes.
     """
     name, packets, seeds, cache_dir, engine_workers, injector, backend = job
     # Re-applied per worker process: spawned workers do not inherit the
     # parent's trace-store configuration.
     configure_backend(backend, cache_dir)
     engine = _build_engine(cache_dir, engine_workers)
+    before = backend_fallbacks(backend)
     output = _experiment_renderers()[name](packets, seeds, engine, injector,
                                            backend)
-    return output, engine.counters.snapshot()
+    fallbacks = {reason: count - before[reason]
+                 for reason, count in backend_fallbacks(backend).items()}
+    return output, engine.counters.snapshot(), fallbacks
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -316,12 +328,15 @@ def main(argv: "list[str] | None" = None) -> int:
              args.injector, args.backend)
             for name in names]
     totals: "dict[str, int]" = {}
-    for output, counters in map_parallel(_render_job, jobs,
-                                         max_workers=job_workers):
+    fallbacks: "dict[str, int]" = {}
+    for output, counters, job_fallbacks in map_parallel(
+            _render_job, jobs, max_workers=job_workers):
         print(output)
         print()
         for counter, value in counters.items():
             totals[counter] = totals.get(counter, 0) + value
+        for reason, count in job_fallbacks.items():
+            fallbacks[reason] = fallbacks.get(reason, 0) + count
     if args.cache_dir is not None:
         summary = " ".join(
             f"{name.split('.', 1)[1]}={totals.get(name, 0)}"
@@ -329,6 +344,10 @@ def main(argv: "list[str] | None" = None) -> int:
                          "campaign.simulated", "campaign.chunks"))
         print(f"campaign: {summary} (cache: {args.cache_dir})",
               file=sys.stderr)
+    if fallbacks:
+        print(f"{args.backend} fallbacks: " + " ".join(
+            f"{reason}={count}" for reason, count in fallbacks.items()),
+            file=sys.stderr)
     return 0
 
 

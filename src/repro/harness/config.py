@@ -175,6 +175,11 @@ class ExperimentConfig:
         observations, and this one lets every golden run ride the
         MemView fast lane.  This is the one sanctioned way to build a
         reference run (the profiler and the golden cache both use it).
+        The golden cache has one other sanctioned source: the replay
+        backend's trace recording (:func:`repro.replay.record_trace`)
+        is a fault-free run of the same workload and hands its
+        observations over through
+        :func:`repro.harness.experiment.remember_golden`.
         """
         return ExperimentConfig(
             app=self.app, packet_count=self.packet_count, seed=self.seed,

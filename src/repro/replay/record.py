@@ -3,7 +3,12 @@
 Recording runs the real kernel -- the same applications, caches, and
 allocator the ``execute`` backend uses -- with fault injection fully
 disengaged (a disabled ``geometric`` injector at scale 0, no-detection
-policy, nominal clock) and three thin recording shims layered on top:
+policy, nominal clock) and three thin recording shims layered on top.
+The recording is also the workload's golden run: its per-packet
+observations are the fault-free reference every faulted run of the
+workload is scored against, so :func:`record_trace` adopts them into the
+golden cache (:func:`~repro.harness.experiment.remember_golden`).  The
+shims are:
 
 * :class:`RecordingMemView` appends a READ/WRITE event after every
   typed access (*after* delegating to the real accessor, so event
@@ -40,7 +45,11 @@ from repro.core.recovery import NO_DETECTION
 from repro.cpu.processor import Processor
 from repro.cpu.watchdog import FatalExecutionError
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ALLOCATION_BASE, load_workload
+from repro.harness.experiment import (
+    ALLOCATION_BASE,
+    load_workload,
+    remember_golden,
+)
 from repro.mem.allocator import BumpAllocator
 from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import GeometricFaultInjector
@@ -221,7 +230,11 @@ def record_trace(config: ExperimentConfig) -> Trace:
     resident access), no-detection policy, nominal clock -- only the
     workload identity and cache geometry influence the event stream,
     which is why the trace is keyed by
-    :func:`repro.replay.trace.trace_key` and not the full config.
+    :func:`repro.replay.trace.trace_key` and not the full config.  The
+    run's per-packet observations feed the golden cache
+    (:func:`~repro.harness.experiment.remember_golden`): a fault-free
+    run's observations depend on the workload identity alone, so the
+    recording doubles as the golden run of ``config.golden()``.
     """
     workload = load_workload(config)
     recorder = TraceRecorder()
@@ -249,13 +262,15 @@ def record_trace(config: ExperimentConfig) -> Trace:
         # state drains to the L2 before packets flow (the flush's
         # writebacks are recorded as control-segment events).
         hierarchy.l1d.flush()
+        observations: "list[dict[str, object]]" = []
         for index, packet in enumerate(workload.packets):
             recorder.mark_packet()
-            app.run_packet(packet, index)
+            observations.append(app.run_packet(packet, index))
     except (FatalExecutionError, MemoryAccessError) as exc:
         raise RecordingError(
             f"fault-free recording of {config.app!r} failed: "
             f"{type(exc).__name__}: {exc}") from exc
+    remember_golden(config, observations)
     static_ranges = tuple((region.address, region.address + region.size)
                           for region in app.static_regions)
     return recorder.finish(

@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,7 +196,8 @@ class TraceStore:
         if path is not None and path.exists():
             try:
                 trace = Trace.load(path)
-            except (OSError, KeyError, ValueError, json.JSONDecodeError):
+            except (OSError, EOFError, KeyError, ValueError,
+                    zipfile.BadZipFile, zlib.error):
                 return None  # corrupt archive: re-record
             self._traces[key] = trace
             return trace

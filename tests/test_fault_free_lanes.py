@@ -2,11 +2,12 @@
 
 Golden runs and trace recordings cannot fault, so both run on a
 disabled ``geometric`` injector whose MemView fast lane serves every
-resident access.  Faulted replay pricing expands a trace's access slots
-only once a sampled fault needs them, and the fault law's integral is
-memoised per process.  Each test pins one of those equivalences, either
-against the slow path or against digests recorded before the fast lanes
-were used:
+resident access, and a replay workload runs fault-free only once: its
+trace recording supplies the golden observations.  Faulted replay
+pricing expands a trace's access slots only once a sampled fault needs
+them, and the fault law's integral is memoised per process.  Each test
+pins one of those equivalences, either against the slow path or against
+digests recorded before the fast lanes were used:
 
 * ``tests/golden/trace_digests.json``: every recorded trace array and
   its metadata;
@@ -32,6 +33,7 @@ from repro.core.constants import NETBENCH_APPS
 from repro.core.fault_model import FaultModel
 from repro.core.noise import NoiseImmunityModel, failure_probability
 from repro.core.recovery import ALL_POLICIES
+from repro.harness import experiment
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     ExperimentResult,
@@ -49,6 +51,7 @@ from repro.replay import (
     record_trace,
     run_replay,
     set_trace_store,
+    trace_store,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -169,6 +172,83 @@ class TestGoldenRunsOnTheFastLane:
         served = fast.hierarchy.fast_reads + fast.hierarchy.fast_writes
         assert served >= 0.9 * fast.hierarchy.l1d.stats.accesses
         assert slow.hierarchy.fast_reads + slow.hierarchy.fast_writes == 0
+
+
+class TestOneFaultFreeRunPerWorkload:
+    """A replay workload's trace recording is its golden run."""
+
+    CONFIG = ExperimentConfig(app="crc", packet_count=30, seed=7,
+                              backend="replay")
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        """A fresh trace store, and the golden executions made."""
+        executions: "list[ExperimentConfig]" = []
+        execute = experiment.execute_workload
+
+        def counting(workload, config, faulty, *args, **kwargs):
+            executions.append(config)
+            return execute(workload, config, faulty, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "execute_workload", counting)
+        previous = set_trace_store(TraceStore())
+        yield trace_store(), executions
+        set_trace_store(previous)
+
+    @staticmethod
+    def executed_golden(config):
+        return execute_workload(load_workload(config), config.golden(),
+                                faulty=False).observations
+
+    @pytest.mark.parametrize("name", sorted(TRACE_WORKLOADS))
+    def test_recording_adopts_the_golden_observations(self, name,
+                                                      monkeypatch):
+        config = TRACE_WORKLOADS[name]
+        expected = self.executed_golden(config)
+        record_trace(config)
+
+        def no_golden_run(*args, **kwargs):
+            raise AssertionError("the recording left no golden observations")
+
+        monkeypatch.setattr(experiment, "execute_workload", no_golden_run)
+        assert golden_observations(load_workload(config),
+                                   config) == expected
+
+    def test_golden_then_record_runs_once(self, runs):
+        store, executions = runs
+        observations = golden_observations(load_workload(self.CONFIG),
+                                           self.CONFIG)
+        store.get_or_record(self.CONFIG)
+        assert (store.recordings, len(executions)) == (1, 0)
+        assert observations == self.executed_golden(self.CONFIG)
+
+    def test_record_then_golden_runs_once(self, runs):
+        store, executions = runs
+        store.get_or_record(self.CONFIG)
+        observations = golden_observations(load_workload(self.CONFIG),
+                                           self.CONFIG)
+        assert (store.recordings, len(executions)) == (1, 0)
+        assert observations == self.executed_golden(self.CONFIG)
+
+    def test_execute_config_runs_golden_and_records_nothing(self, runs):
+        store, executions = runs
+        config = self.CONFIG.with_options(backend="execute")
+        golden_observations(load_workload(config), config)
+        assert (store.recordings, len(store)) == (0, 0)
+        assert executions == [config.golden()]
+
+    def test_stored_trace_leaves_golden_to_a_plain_run(self, runs,
+                                                       tmp_path):
+        _, executions = runs
+        TraceStore(tmp_path).get_or_record(self.CONFIG)
+        clear_golden_cache()
+        reader = TraceStore(tmp_path)
+        set_trace_store(reader)
+        observations = golden_observations(load_workload(self.CONFIG),
+                                           self.CONFIG)
+        assert reader.recordings == 0
+        assert executions == [self.CONFIG.golden()]
+        assert observations == self.executed_golden(self.CONFIG)
 
 
 class TestMemoisedFaultLaw:

@@ -157,6 +157,36 @@ class TestCli:
             set_trace_store(previous)
         assert "Figure 6" in capsys.readouterr().out
 
+    def test_replay_fallbacks_summarised_by_reason(self, capsys):
+        from repro.replay import (
+            TraceStore,
+            fallback_count,
+            set_trace_store,
+        )
+        from repro.replay.backend import FALLBACK_REASONS
+
+        previous = set_trace_store(TraceStore())
+        before = fallback_count()
+        try:
+            # Seed 7 makes 4 fig9a configs diverge at 20 packets.
+            assert main(["fig9a", "--backend", "replay", "--packets", "20",
+                         "--seeds", "7"]) == 0
+        finally:
+            set_trace_store(previous)
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("replay fallbacks: ")]
+        assert len(lines) == 1
+        counts = dict(pair.split("=")
+                      for pair in lines[0].split(": ", 1)[1].split())
+        assert tuple(counts) == FALLBACK_REASONS
+        assert sum(map(int, counts.values())) == fallback_count() - before
+        assert fallback_count() > before
+
+    def test_execute_backend_prints_no_fallback_line(self, capsys):
+        assert main(["fig9a", "--backend", "execute", "--packets", "20",
+                     "--seeds", "2"]) == 0
+        assert "fallbacks" not in capsys.readouterr().err
+
     def test_replay_traces_persist_under_cache_dir(self, tmp_path,
                                                    capsys):
         from repro.replay import TraceStore, set_trace_store

@@ -137,6 +137,29 @@ class TestRecorder:
         assert store.get_or_record(config) is first
         assert store.recordings == 1
 
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte",
+                                        "empty"])
+    def test_corrupt_archive_is_re_recorded(self, tmp_path, damage):
+        config = _fault_free()
+        original = TraceStore(tmp_path).get_or_record(config)
+        (path,) = tmp_path.glob("trace-*.npz")
+        data = path.read_bytes()
+        middle = len(data) // 2
+        path.write_bytes({
+            "truncated": data[:middle],
+            "flipped-byte": (data[:middle] + bytes([data[middle] ^ 0xFF])
+                             + data[middle + 1:]),
+            "empty": b"",
+        }[damage])
+        store = TraceStore(tmp_path)
+        assert store.get(config) is None
+        _assert_same_trace(store.get_or_record(config), original)
+        assert store.recordings == 1
+        # The re-recording replaced the damaged archive on disk.
+        reloaded = TraceStore(tmp_path).get(config)
+        assert reloaded is not None
+        _assert_same_trace(reloaded, original)
+
 
 class TestConcurrentTraceWriters:
     """Regression: writers saving one trace archive must not collide.

@@ -114,9 +114,8 @@ class Cache:
         self.lower = lower
         self.stats = CacheStatistics()
         #: Per-set ways and the LRU clock.  Public: the fault-free fast
-        #: lane (repro.mem.view / repro.mem.hierarchy) performs its
-        #: hit-only lookups inline; treat as read-mostly internals
-        #: elsewhere.
+        #: lane (repro.mem.view) performs its hit-only lookups inline;
+        #: treat as read-mostly internals elsewhere.
         self.sets: "list[list[CacheLine]]" = [[] for _ in range(self.num_sets)]
         #: Ways retired per set by the way-disabling recovery action; a
         #: set's effective capacity is ``associativity - disabled``.

@@ -45,29 +45,25 @@ Fault-free fast lane
 --------------------
 When the injector can promise stretches of fault-free accesses (it
 sets ``supports_skip`` -- see
-:class:`repro.mem.faults.GeometricFaultInjector`) *and* none of the
-words the access covers are tracked as corrupted (detection, scrubbing,
-silent-corruption accounting, and corruption-clearing writes all only
-act on corrupted words), the accessor takes the whole scheduled
-fault-free gap as a *lease* (``acquire_skip_lease``) and serves
-resident line-contained accesses on a short path that bypasses the
-per-access fault bookkeeping: no Bernoulli draw, no corruption-set
-algebra, no detection outcome classification, precomputed stall/energy
-charges (``fast_read_stall``/``fast_read_energy``/
-``fast_write_energy``, kept current by ``_refresh_fast_lane``), and one
-counter decrement per access instead of an injector round-trip.  The
-lane itself lives inline in :class:`repro.mem.view.MemView` (the sole
-caller of :meth:`read`/:meth:`write`); this module owns the shared
-lease state (``skip_lease``) and the refund contract: any access the
-lane cannot serve falls back here, and :meth:`read`/:meth:`write`
-return the unspent lease (``refund_skip_lease``) before drawing for
-the access, so the fault schedule is followed exactly.  The fast lane
-is behaviourally invisible -- cache statistics, LRU state, stall
-cycles, and energy are identical to the full path, and parity/recovery
-semantics are untouched because they can only act when a fault or
-tracked corruption exists, which is exactly when the lane disengages.
-Misses and straddling accesses always fall back to the full path
-(fills, telemetry counters, and wild-access handling live there).
+:class:`repro.mem.faults.GeometricFaultInjector`),
+:class:`repro.mem.view.MemView` serves resident line-contained accesses
+to words with no tracked corruption on a lane of its own, bypassing the
+per-access fault bookkeeping; ``repro.mem.view`` documents the lane.
+This module owns the lane's shared state and its contract:
+``skip_lease`` holds the fault-free accesses leased from the injector
+(``acquire_skip_lease``) and not yet spent; ``fast_read_stall``,
+``fast_read_energy`` and ``fast_write_energy`` are its per-access
+charges, kept current by ``_refresh_fast_lane``; ``fast_reads`` and
+``fast_writes`` count what it served.  Any access the lane cannot serve
+falls back to :meth:`read`/:meth:`write`, which return the unspent
+lease (``refund_skip_lease``) before drawing for the access, and a
+clock change returns it too, so the fault schedule is followed
+exactly.  The lane is behaviourally invisible -- cache statistics, LRU
+state, stall cycles, and energy are identical to the full path, and
+parity/recovery semantics are untouched because they can only act when
+a fault or tracked corruption exists, which is exactly when the lane
+disengages.  Misses and straddling accesses always take the full path
+(fills, telemetry counters, and wild-access handling live here).
 """
 
 from __future__ import annotations

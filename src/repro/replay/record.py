@@ -13,10 +13,9 @@ shims are:
 * :class:`RecordingMemView` appends a READ/WRITE event after every
   typed access (*after* delegating to the real accessor, so event
   order matches the execute backend's charge order: the fills a miss
-  triggers precede the access that triggered them), and plans the
-  resident-prefix chunks of bulk stores (``write_bytes``), emitting one
-  merged WRITE event per chunk exactly where the geometric injector's
-  fast lane serves a chunk;
+  triggers precede the access that triggered them), and one merged
+  WRITE event per chunk a bulk store (``write_bytes``) serves on the
+  fast lane, from the view's ``_chunk_stored`` hook;
 * :class:`RecordingHierarchy` appends a traffic event from each
   fill/writeback callback;
 * :class:`RecordingEnvironment` records every ``work()`` charge.
@@ -79,16 +78,10 @@ class TraceRecorder:
         self.widths: "list[int]" = []
         self.counts: "list[int]" = []
         self.packet_starts: "list[int]" = []
-        #: While true, events are dropped -- the bulk-store chunk
-        #: planner stores a chunk through the real view for state, then
-        #: emits one merged event itself.
-        self.suppress = False
 
     def emit(self, kind: int, address: int = 0, width: int = 0,
              count: int = 1) -> None:
-        """Append one event (no-op while suppressed)."""
-        if self.suppress:
-            return
+        """Append one event."""
         self.kinds.append(kind)
         self.addresses.append(address)
         self.widths.append(width)
@@ -157,15 +150,11 @@ class RecordingMemView(MemView):
     """MemView that records every typed access and bulk-store chunk.
 
     Each typed accessor delegates to the real one, then emits its event.
-    ``write_bytes`` under the geometric injector serves line-resident
-    prefixes as merged chunks (one lookup, one ``k * charge`` energy
-    add) and falls back to per-byte stores from the first non-resident
-    chunk onward.  Residency during a fault-free bulk store never
-    changes mid-chunk (write hits fill nothing), so the chunk structure
-    is a pure function of the recorded state: this shim stores each
-    resident chunk through :meth:`MemView.write_bytes` with recording
-    suppressed, emits one merged event for it, and stores the rest byte
-    by byte through the recording :meth:`write_u8`.
+    ``write_bytes`` is the real one: it serves line-resident prefixes as
+    merged chunks (one lookup, one ``k * charge`` energy add), reporting
+    each to :meth:`_chunk_stored`, which emits one merged event, and
+    stores the rest byte by byte through the recording :meth:`write_u8`.
+    The chunking rule thus lives only in :class:`MemView`.
     """
 
     def __init__(self, hierarchy: RecordingHierarchy,
@@ -200,26 +189,8 @@ class RecordingMemView(MemView):
         super().write_u32(address, value)
         self.recorder.emit(KIND_WRITE, address, width=4)
 
-    def write_bytes(self, address: int, data: bytes) -> None:
-        recorder = self.recorder
-        l1d = self.hierarchy.l1d
-        line_size = l1d.line_size
-        start = 0
-        total = len(data)
-        if address >= 0:
-            while start < total:
-                addr = address + start
-                line_address = addr & -line_size
-                chunk = min(total - start, line_address + line_size - addr)
-                if not l1d.contains(addr):
-                    break
-                recorder.suppress = True
-                super().write_bytes(addr, data[start:start + chunk])
-                recorder.suppress = False
-                recorder.emit(KIND_WRITE, addr, width=1, count=chunk)
-                start += chunk
-        for offset in range(start, total):
-            self.write_u8(address + offset, data[offset])
+    def _chunk_stored(self, address: int, count: int) -> None:
+        self.recorder.emit(KIND_WRITE, address, width=1, count=count)
 
 
 def record_trace(config: ExperimentConfig) -> Trace:

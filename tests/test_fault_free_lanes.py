@@ -1,12 +1,14 @@
-"""Fault-free work rides the fast lane without changing a result.
+"""Work rides the fast lanes without changing a result.
 
 Golden runs and trace recordings cannot fault, so both run on a
 disabled ``geometric`` injector whose MemView fast lane serves every
 resident access, and a replay workload runs fault-free only once: its
-trace recording supplies the golden observations.  Faulted replay
-pricing expands a trace's access slots only once a sampled fault needs
-them, and the fault law's integral is memoised per process.  Each test
-pins one of those equivalences, either against the slow path or against
+trace recording supplies the golden observations.  Faulted runs on the
+``geometric`` injector take the same lane between scheduled faults, on
+a lease of the schedule's fault-free gap.  Faulted replay pricing
+expands a trace's access slots only once a sampled fault needs them,
+and the fault law's integral is memoised per process.  Each test pins
+one of those equivalences, either against the slow path or against
 digests recorded before the fast lanes were used:
 
 * ``tests/golden/trace_digests.json``: every recorded trace array and
@@ -32,7 +34,8 @@ import pytest
 from repro.core.constants import NETBENCH_APPS
 from repro.core.fault_model import FaultModel
 from repro.core.noise import NoiseImmunityModel, failure_probability
-from repro.core.recovery import ALL_POLICIES
+from repro.core.recovery import ALL_POLICIES, EXTENSION_POLICIES, TWO_STRIKE
+from repro.cpu.processor import Processor
 from repro.harness import experiment
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
@@ -41,10 +44,15 @@ from repro.harness.experiment import (
     execute_workload,
     golden_observations,
     load_workload,
+    run_experiment,
 )
 from repro.harness.figures import EDF_SETTINGS
 from repro.harness.profile import WorkloadProfile, profile_workload
 from repro.harness.store import canonical_json
+from repro.mem.errors import MemoryAccessError
+from repro.mem.faults import GeometricFaultInjector
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.view import MemView
 from repro.replay import (
     TraceStore,
     fallback_count,
@@ -172,6 +180,202 @@ class TestGoldenRunsOnTheFastLane:
         served = fast.hierarchy.fast_reads + fast.hierarchy.fast_writes
         assert served >= 0.9 * fast.hierarchy.l1d.stats.accesses
         assert slow.hierarchy.fast_reads + slow.hierarchy.fast_writes == 0
+
+
+#: Lane twins: two warm L1D lines at ``BASE``, a cold line in another
+#: set, and a fault law dense enough (about 1% of accesses at Cr 0.25)
+#: that a test reaches the schedule's next fault within ~100 accesses.
+LINE = 32
+BASE = 0x1000
+COLD = 0x1800
+PAYLOAD = bytes(range(0xA0, 0xB8))
+
+#: Every typed accessor and ``write_bytes``; stores pass values wider
+#: than the access, which the view masks.
+ACCESSORS = {
+    "read_u8": lambda view, address: view.read_u8(address),
+    "read_u16": lambda view, address: view.read_u16(address),
+    "read_u32": lambda view, address: view.read_u32(address),
+    "write_u8": lambda view, address: view.write_u8(address, 0x1A5),
+    "write_u16": lambda view, address: view.write_u16(address, 0x1BEEF),
+    "write_u32": lambda view, address: view.write_u32(address,
+                                                      0x1CAFEF00D),
+    "write_bytes": lambda view, address: view.write_bytes(address, PAYLOAD),
+}
+
+
+def lane_twins() -> "tuple[MemView, MemView]":
+    """(fast lane, slow path) views over one fault schedule.
+
+    Both hierarchies inject from same-seeded ``geometric`` injectors at
+    a non-zero scale, so the lane serves on a live lease; the slow
+    twin's ``supports_skip`` is off, so its ``draw()`` walks the same
+    gap schedule one access at a time.  Both warm the lines at ``BASE``
+    with word stores.
+    """
+    views = []
+    for lane in (True, False):
+        injector = GeometricFaultInjector(model=FaultModel.calibrated(),
+                                          seed=5, scale=400.0)
+        if not lane:
+            injector.supports_skip = False
+        hierarchy = MemoryHierarchy(Processor(), injector, policy=TWO_STRIKE,
+                                    cycle_time=0.25, memory_size=1 << 16)
+        view = MemView(hierarchy)
+        for offset in range(0, 2 * LINE, 4):
+            view.write_u32(BASE + offset, 0x01010101 * offset)
+        views.append(view)
+    return views[0], views[1]
+
+
+def corrupt_word(views) -> None:
+    """Track a stored one-bit flip at ``BASE + 8``, as a write fault does."""
+    word = BASE + 8
+    for view in views:
+        hierarchy = view.hierarchy
+        stored = int.from_bytes(hierarchy.l1d.poke_read(word, 4), "little")
+        hierarchy.l1d.poke(word, (stored ^ 0x20).to_bytes(4, "little"))
+        hierarchy.corruption[word] = frozenset({5})
+
+
+def spend_schedule(views, clean_left: int) -> None:
+    """Resident loads until ``clean_left`` accesses precede the fault."""
+    gap = views[1].hierarchy.injector.scheduled_gap
+    assert gap >= clean_left
+    for _ in range(gap - clean_left):
+        for view in views:
+            view.read_u8(BASE)
+
+
+#: case -> (address, preparation of the twins or None).
+CASES = {
+    "resident-hit": (BASE + 8, None),
+    "cold-miss": (COLD, None),
+    "unaligned-in-line": (BASE + 9, None),
+    "line-straddling": (BASE + LINE - 1, None),
+    "negative-address": (-4, None),
+    "corrupted-word": (BASE + 8, corrupt_word),
+    "corrupted-last-word": (BASE + 7, corrupt_word),
+    "scheduled-fault": (BASE + 8, lambda views: spend_schedule(views, 0)),
+    "lease-runs-out": (BASE + 8, lambda views: spend_schedule(views, 5)),
+}
+
+
+def outcome(access, view, address) -> object:
+    """The access's return value, or the type of the error it raised."""
+    try:
+        return access(view, address)
+    except MemoryAccessError as exc:
+        return type(exc)
+
+
+def lane_state(view) -> "dict[str, object]":
+    """Everything an access can change, besides the L1D energy."""
+    hierarchy = view.hierarchy
+    l1d = hierarchy.l1d
+    return {
+        "l1d.stats": l1d.stats,
+        "l1d.clock": l1d.clock,
+        "lines": [[(line.tag, line.last_use, line.dirty, bytes(line.data))
+                   for line in ways] for ways in l1d.sets],
+        "l2.stats": hierarchy.l2.stats,
+        "cycles": hierarchy.processor.cycles,
+        "stall_cycles_l1": hierarchy.stall_cycles_l1,
+        "corruption": hierarchy.corruption,
+        "detected_faults": hierarchy.detected_faults,
+        "injected_faults": hierarchy.injector.stats.total,
+    }
+
+
+class TestAccessorLaneTwins:
+    """Each accessor's lane copy is effect-for-effect the slow path."""
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("accessor", list(ACCESSORS))
+    def test_lane_matches_the_slow_path(self, accessor, case):
+        lane, slow = lane_twins()
+        address, prepare = CASES[case]
+        if prepare is not None:
+            prepare((lane, slow))
+        served_before = lane.hierarchy.fast_reads + lane.hierarchy.fast_writes
+        injected_before = slow.hierarchy.injector.stats.total
+        access = ACCESSORS[accessor]
+        assert (outcome(access, lane, address)
+                == outcome(access, slow, address))
+        assert lane_state(lane) == lane_state(slow)
+        energies = [view.hierarchy.processor.energy.l1d
+                    for view in (lane, slow)]
+        if accessor == "write_bytes":
+            # The lane adds a chunk's energy as one k * charge.
+            assert energies[0] == pytest.approx(energies[1], rel=1e-12,
+                                                abs=0.0)
+        else:
+            assert energies[0] == energies[1]
+        hierarchy = lane.hierarchy
+        assert (hierarchy.skip_lease + hierarchy.injector.scheduled_gap
+                == slow.hierarchy.injector.scheduled_gap)
+        # The table drives what it names: a hit on a live lease, and the
+        # scheduled fault (inside the byte string once its lease runs out).
+        served = hierarchy.fast_reads + hierarchy.fast_writes - served_before
+        injected = slow.hierarchy.injector.stats.total - injected_before
+        if case == "resident-hit":
+            assert served == (len(PAYLOAD) if accessor == "write_bytes"
+                              else 1)
+        if case == "scheduled-fault" or (case == "lease-runs-out"
+                                         and accessor == "write_bytes"):
+            assert injected == 1
+
+
+def faulted_block() -> "list[ExperimentConfig]":
+    """Every policy on every app where faults land, on ``geometric``.
+
+    One extra config per app clocks its control plane at Cr 1.0: the
+    plane-boundary clock switch refunds a live lease.
+    """
+    def config(app, **options):
+        return ExperimentConfig(app=app, packet_count=40, seed=7,
+                                cycle_time=0.25, fault_scale=200.0,
+                                injector="geometric", **options)
+
+    return ([config(app, policy=policy) for app in NETBENCH_APPS
+             for policy in ALL_POLICIES + EXTENSION_POLICIES]
+            + [config(app, policy=TWO_STRIKE, control_cycle_time=1.0)
+               for app in NETBENCH_APPS])
+
+
+class TestFaultedRunsOnTheFastLane:
+    """Faulted runs give the slow path's results with the lane on."""
+
+    def test_faulted_block_matches_the_slow_path(self, monkeypatch):
+        block = faulted_block()
+        fast = [run_experiment(config).to_json() for config in block]
+        make_injector = experiment.make_injector
+
+        def slow_lane(*args, **kwargs):
+            injector = make_injector(*args, **kwargs)
+            injector.supports_skip = False
+            return injector
+
+        monkeypatch.setattr(experiment, "make_injector", slow_lane)
+        slow = [run_experiment(config).to_json() for config in block]
+        for config, fast_result, slow_result in zip(block, fast, slow):
+            fast_energy = fast_result.pop("energy")
+            slow_energy = slow_result.pop("energy")
+            assert fast_result == slow_result, config
+            assert fast_energy == pytest.approx(slow_energy, rel=1e-12,
+                                                abs=0.0), config
+        assert sum(result["injected_faults"] for result in fast) > 0
+        assert sum(result["detected_faults"] for result in fast) > 0
+        plane_boundary = fast[-len(NETBENCH_APPS):]
+        assert all(result["injected_faults"] for result in plane_boundary)
+
+    def test_faulted_run_rides_the_lane(self):
+        config = faulted_block()[0]
+        hierarchy = execute_workload(load_workload(config), config,
+                                     faulty=True).hierarchy
+        assert hierarchy.injector.stats.total > 0
+        served = hierarchy.fast_reads + hierarchy.fast_writes
+        assert served >= 0.9 * hierarchy.l1d.stats.accesses
 
 
 class TestOneFaultFreeRunPerWorkload:

@@ -89,7 +89,8 @@ class TestCrcKernel:
 
     def test_table_stored_in_simulated_memory(self, env):
         table = build_crc_table(env)
-        stored = env.view.read_u32_array(table.address, CRC_TABLE_ENTRIES)
+        stored = [env.view.read_u32(table.address + 4 * index)
+                  for index in range(CRC_TABLE_ENTRIES)]
         assert stored == crc_table_values()
 
     def test_corrupted_table_entry_changes_crc(self, env):

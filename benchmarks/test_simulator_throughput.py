@@ -12,11 +12,13 @@ order and a single artifact carries the whole trajectory.
 
 import json
 import os
+import statistics
 import time
 
 from repro.core.constants import NETBENCH_APPS, RELATIVE_CYCLE_LEVELS
 from repro.core.recovery import ALL_POLICIES, TWO_STRIKE, policy_by_name
 from repro.cpu.processor import Processor
+from repro.harness import experiment
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
 from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES
@@ -47,6 +49,13 @@ def _merge_throughput_section(artifact_dir, section: str,
     text = json.dumps(combined, indent=2)
     path.write_text(text + "\n")
     return json.dumps(report, indent=2)
+
+
+def _spread(values) -> dict:
+    """Median and quartiles of repeated readings, for the report."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(median, 3), "q1": round(q1, 3),
+            "q3": round(q3, 3), "iqr": round(q3 - q1, 3)}
 
 
 def _fig9_12_configs(app: str, packets: int, backend: str,
@@ -98,70 +107,105 @@ class TestHierarchyThroughput:
 
 
 class TestInjectorSweepThroughput:
-    """Cold fig9-12-shaped sweep, reference vs geometric injector.
+    """Cold fig9-12-shaped geometric sweep, on and off the MemView lane.
 
     Every experiment in the behavioural sweep (7 apps x every recovery
     policy x the four static ``Cr`` settings plus the dynamic scheme) is
     simulated cold -- ``run_experiment`` directly, no campaign cache --
-    once per injector.  The wall-clock ratio is the headline number of
-    the geometric-skip fast lane, recorded in ``BENCH_throughput.json``
-    so each change appends to a perf trajectory instead of a one-off
-    claim.  CI fails the run if the speedup drops below the 2x gate
-    (the full 300-packet sweep reaches ~3x; short CI sweeps amortise
-    less per-packet work over fixed setup, hence the lower gate).
+    under the geometric injector twice per round: as configured, so the
+    MemView fast lane serves the accesses the injector leases as
+    fault-free, and with ``supports_skip = False`` on every injector, so
+    the same sweep takes the slow path for every access (the twin
+    ``TestFaultedRunsOnTheFastLane`` builds).  Both sides give identical
+    results; the lane earns its code only while it is faster.  Each of
+    the ``REPEATS`` rounds runs one sweep per side, interleaved config
+    by config in a rotating order so that load on a shared host reaches
+    every side alike (whole sweeps in turn spread ten times wider).  CI
+    gates the median of the per-round lane-off/lane ratios at
+    ``MIN_LANE_SPEEDUP``, below the measured median by more than the
+    measured interquartile range (median 1.41x, quartiles 1.40-1.43 at
+    30 packets on a shared 2-vCPU host).
+
+    Each round also times the sweep under the reference injector.  Its
+    median ratio to the lane sweep is reported, not gated: it compares
+    the two fault samplers, and any change to the slow path every
+    reference access takes moves it.
 
     ``REPRO_THROUGHPUT_PACKETS`` scales the per-experiment packet count
-    (default 60: ~20 s total, speedup ~2.7x).
+    (default 60).
     """
 
-    #: CI gate: minimum acceptable geometric-over-reference speedup.
-    MIN_SPEEDUP = 2.0
+    #: CI gate: minimum median lane-off-over-lane speedup.
+    MIN_LANE_SPEEDUP = 1.25
 
-    def test_geometric_speedup_on_fig9_12_sweep(self, once, artifact_dir):
+    #: Interleaved rounds; the gate reads their median.
+    REPEATS = 5
+
+    def test_lane_speedup_on_fig9_12_sweep(self, once, artifact_dir,
+                                           monkeypatch):
         packets = int(os.environ.get("REPRO_THROUGHPUT_PACKETS", "60"))
+        make_injector = experiment.make_injector
 
-        def sweep(injector):
-            per_app = {}
-            for app in NETBENCH_APPS:
+        def lane_off(*args, **kwargs):
+            injector = make_injector(*args, **kwargs)
+            injector.supports_skip = False
+            return injector
+
+        def run(config, lane):
+            with monkeypatch.context() as patch:
+                if not lane:
+                    patch.setattr(experiment, "make_injector", lane_off)
                 started = time.perf_counter()
-                for config in _fig9_12_configs(app, packets, "execute",
-                                               injector=injector):
-                    run_experiment(config)
-                per_app[app] = time.perf_counter() - started
-            return per_app
+                run_experiment(config)
+                return time.perf_counter() - started
 
-        reference, geometric = once(
-            lambda: (sweep("reference"), sweep("geometric")))
-        reference_total = sum(reference.values())
-        geometric_total = sum(geometric.values())
-        speedup = reference_total / geometric_total
+        sides = (("lane", "geometric", True),
+                 ("lane_off", "geometric", False),
+                 ("reference", "reference", True))
+        blocks = {injector: [config for app in NETBENCH_APPS
+                             for config in _fig9_12_configs(
+                                 app, packets, "execute", injector=injector)]
+                  for injector in ("geometric", "reference")}
+
+        def rounds():
+            seconds = {name: [] for name, _, _ in sides}
+            for round_index in range(self.REPEATS):
+                totals = dict.fromkeys(seconds, 0.0)
+                for index in range(len(blocks["geometric"])):
+                    shift = (round_index + index) % len(sides)
+                    for name, injector, lane in sides[shift:] + sides[:shift]:
+                        totals[name] += run(blocks[injector][index], lane)
+                for name, total in totals.items():
+                    seconds[name].append(total)
+            return seconds
+
+        seconds = once(rounds)
+        lane_speedup = _spread([off / on for off, on in
+                                zip(seconds["lane_off"], seconds["lane"])])
         report = {
-            "experiment": "fig9_12_cold_sweep",
+            "experiment": "fig9_12_lane_sweep",
             "packets": packets,
             "seed": 7,
-            "configs_per_injector": len(
-                _fig9_12_configs("crc", packets, "execute")) *
-                len(NETBENCH_APPS),
-            "reference_seconds": round(reference_total, 3),
-            "geometric_seconds": round(geometric_total, 3),
-            "speedup": round(speedup, 3),
-            "gate": self.MIN_SPEEDUP,
-            "per_app": {
-                app: {
-                    "reference_seconds": round(reference[app], 3),
-                    "geometric_seconds": round(geometric[app], 3),
-                    "speedup": round(reference[app] / geometric[app], 3),
-                }
-                for app in NETBENCH_APPS
-            },
+            "injector": "geometric",
+            "configs_per_sweep": len(blocks["geometric"]),
+            "repeats": self.REPEATS,
+            "seconds": {name: _spread(values)
+                        for name, values in seconds.items()},
+            "lane_speedup": lane_speedup,
+            "gate": self.MIN_LANE_SPEEDUP,
+            # Report only: the reference sampler against the lane.
+            "reference_over_lane": _spread(
+                [reference / on for reference, on in
+                 zip(seconds["reference"], seconds["lane"])]),
         }
         print()
-        print(_merge_throughput_section(artifact_dir, "fig9_12_cold_sweep",
+        print(_merge_throughput_section(artifact_dir, "fig9_12_lane_sweep",
                                         report))
-        assert speedup >= self.MIN_SPEEDUP, (
-            f"geometric injector speedup regressed: {speedup:.2f}x < "
-            f"{self.MIN_SPEEDUP}x gate (reference {reference_total:.1f}s, "
-            f"geometric {geometric_total:.1f}s)")
+        assert lane_speedup["median"] >= self.MIN_LANE_SPEEDUP, (
+            f"MemView lane speedup regressed: median "
+            f"{lane_speedup['median']:.2f}x < {self.MIN_LANE_SPEEDUP}x gate "
+            f"over {self.REPEATS} rounds (lane {seconds['lane']}, "
+            f"lane off {seconds['lane_off']})")
 
 
 class TestFaultModelLaneThroughput:

@@ -26,43 +26,43 @@ from repro.net.tracefile import dump_trace, load_trace
 
 
 def main() -> None:
-    workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    trace_path = workdir / "capture.jsonl"
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as workdir:
+        trace_path = pathlib.Path(workdir) / "capture.jsonl"
 
-    print("step 1: recording a 200-packet trace ...")
-    prefixes = make_prefixes(32, seed=11)
-    packets = routed_trace(200, prefixes, seed=11, payload_bytes=0)
-    dump_trace(packets, trace_path)
-    print(f"  wrote {trace_path} ({trace_path.stat().st_size} bytes)")
+        print("step 1: recording a 200-packet trace ...")
+        prefixes = make_prefixes(32, seed=11)
+        packets = routed_trace(200, prefixes, seed=11, payload_bytes=0)
+        dump_trace(packets, trace_path)
+        print(f"  wrote {trace_path} ({trace_path.stat().st_size} bytes)")
 
-    print("step 2: replaying it through the route kernel ...")
-    replayed = load_trace(trace_path)
-    workload = workload_from_packets("route", replayed, seed=11)
-    print(f"  {len(workload.packets)} packets, app={workload.app_name!r}")
+        print("step 2: replaying it through the route kernel ...")
+        replayed = load_trace(trace_path)
+        workload = workload_from_packets("route", replayed, seed=11)
+        print(f"  {len(workload.packets)} packets, app={workload.app_name!r}")
 
-    print("step 3: clumsy operating point on this traffic ...")
-    # run_experiment builds workloads by name; for a replayed trace we
-    # evaluate through the campaign API's config (same machinery) and a
-    # direct comparison at two settings using the canonical harness.
-    baseline = run_experiment(ExperimentConfig(
-        app="route", packet_count=200, seed=11, cycle_time=1.0,
-        policy=NO_DETECTION, fault_scale=20.0))
-    clumsy = run_experiment(ExperimentConfig(
-        app="route", packet_count=200, seed=11, cycle_time=0.5,
-        policy=TWO_STRIKE, fault_scale=20.0))
-    print(f"  EDF^2 at Cr=0.5/two-strike: "
-          f"{clumsy.product() / baseline.product():.3f} of baseline "
-          f"(fallibility {clumsy.fallibility:.3f})")
+        print("step 3: clumsy operating point on this traffic ...")
+        # run_experiment builds workloads by name; for a replayed trace we
+        # evaluate through the campaign API's config (same machinery) and a
+        # direct comparison at two settings using the canonical harness.
+        baseline = run_experiment(ExperimentConfig(
+            app="route", packet_count=200, seed=11, cycle_time=1.0,
+            policy=NO_DETECTION, fault_scale=20.0))
+        clumsy = run_experiment(ExperimentConfig(
+            app="route", packet_count=200, seed=11, cycle_time=0.5,
+            policy=TWO_STRIKE, fault_scale=20.0))
+        print(f"  EDF^2 at Cr=0.5/two-strike: "
+              f"{clumsy.product() / baseline.product():.3f} of baseline "
+              f"(fallibility {clumsy.fallibility:.3f})")
 
-    print("step 4: single-fault AVF campaign (40 trials) ...\n")
-    campaign = run_campaign(
-        ExperimentConfig(app="route", packet_count=200, seed=11,
-                         cycle_time=0.5),
-        trials=40, seed=23)
-    print(render_campaign(campaign))
-    print("\nThe header buffer converts nearly every fault (checksums see"
-          "\nevery bit); half the radix-node faults are architecturally"
-          "\nmasked (unused fields, equal-outcome subtrees).")
+        print("step 4: single-fault AVF campaign (40 trials) ...\n")
+        campaign = run_campaign(
+            ExperimentConfig(app="route", packet_count=200, seed=11,
+                             cycle_time=0.5),
+            trials=40, seed=23)
+        print(render_campaign(campaign))
+        print("\nThe header buffer converts nearly every fault (checksums see"
+              "\nevery bit); half the radix-node faults are architecturally"
+              "\nmasked (unused fields, equal-outcome subtrees).")
 
 
 if __name__ == "__main__":

@@ -151,11 +151,15 @@ class Cache:
     def _tag(self, line_address: int) -> int:
         return line_address // self.line_size // self.num_sets
 
+    def _straddling(self, address: int, length: int,
+                    ) -> StraddlingAccessError:
+        return StraddlingAccessError(
+            f"{self.name}: access [{address:#x}, {address + length:#x}) "
+            f"straddles a {self.line_size}-byte line")
+
     def _check_within_line(self, address: int, length: int) -> None:
         if self.line_address(address) != self.line_address(address + length - 1):
-            raise StraddlingAccessError(
-                f"{self.name}: access [{address:#x}, {address + length:#x}) "
-                f"straddles a {self.line_size}-byte line")
+            raise self._straddling(address, length)
 
     # -- lookup / fill ---------------------------------------------------------
 
@@ -213,25 +217,34 @@ class Cache:
             self._on_fill(line_address)
         return line
 
-    def _access_line(self, address: int, length: int, is_write: bool,
+    def _access_line(self, address: int, length: int,
                      ) -> "tuple[CacheLine, int, bool]":
-        """Common hit/miss path; returns (line, offset-in-line, was_hit)."""
-        self._check_within_line(address, length)
-        self.clock += 1
-        line_address = self.line_address(address)
-        set_index = self._set_index(line_address)
-        line = self._find(set_index, self._tag(line_address))
-        hit = line is not None
-        if line is None:
-            line = self._fill(line_address)
-        line.last_use = self.clock
-        return line, address - line_address, hit
+        """Common hit/miss path; returns (line, offset-in-line, was_hit).
+
+        One pass, as the MemView lane does it: the line address once, the
+        straddle check, then the clock tick and an inline scan of the set
+        (the slow path runs this for every access the lane declines).
+        """
+        line_size = self.line_size
+        line_address = address & -line_size
+        if line_address != (address + length - 1) & -line_size:
+            raise self._straddling(address, length)
+        self.clock = clock = self.clock + 1
+        line_index = line_address // line_size
+        num_sets = self.num_sets
+        tag = line_index // num_sets
+        for line in self.sets[line_index % num_sets]:
+            if line.tag == tag:
+                line.last_use = clock
+                return line, address - line_address, True
+        # The fill stamps the new line with the post-tick clock.
+        return self._fill(line_address), address - line_address, False
 
     # -- public access API ------------------------------------------------------
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes (within one line), filling on a miss."""
-        line, offset, hit = self._access_line(address, length, is_write=False)
+        line, offset, hit = self._access_line(address, length)
         self.stats.reads += 1
         if hit:
             self.stats.read_hits += 1
@@ -239,7 +252,7 @@ class Cache:
 
     def write(self, address: int, data: bytes) -> None:
         """Write bytes (within one line); write-allocate on a miss."""
-        line, offset, hit = self._access_line(address, len(data), is_write=True)
+        line, offset, hit = self._access_line(address, len(data))
         self.stats.writes += 1
         if hit:
             self.stats.write_hits += 1

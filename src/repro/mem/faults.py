@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.fault_model import FaultModel, default_fault_model
 from repro.mem.faultmaps import (MAPPED_INJECTOR_NAMES, FaultMap,
@@ -141,17 +142,12 @@ class FaultInjector:
         self._thresholds[key] = scaled
         return scaled
 
-    def _site_probabilities(
-        self, single: float, double: float, triple: float,
-        address: "int | None",
-    ) -> "tuple[float, float, float]":
-        """Per-access probabilities at ``address`` (spatial-law hook).
-
-        The reference law is spatially flat, so this is the identity and
-        costs no RNG draws; the mapped injectors override it with their
-        fault map's weakness factor.
-        """
-        return single, double, triple
+    #: Spatial-law hook: ``(single, double, triple, address)`` -> the
+    #: per-access probabilities at ``address``.  The reference law is
+    #: spatially flat, so it has none and ``draw`` skips the call; the
+    #: mapped injectors define it with their fault map's weakness factor.
+    #: It costs no RNG draws either way.
+    _site_probabilities: "Callable[..., tuple[float, ...]] | None" = None
 
     def draw(self, cycle_time: float, bits: int,
              address: "int | None" = None) -> "FaultEvent | None":
@@ -164,7 +160,10 @@ class FaultInjector:
         """
         if not self.enabled or self.scale == 0.0:
             return None
-        single, double, triple = self._probabilities(cycle_time)
+        thresholds = self._thresholds.get(cycle_time)
+        if thresholds is None:
+            thresholds = self._probabilities(cycle_time)
+        single, double, triple = thresholds
         if self.burst_start_probability > 0:
             if (self._burst_remaining == 0
                     and self._rng.random() < self.burst_start_probability):
@@ -175,8 +174,9 @@ class FaultInjector:
                 single = min(single * self.burst_multiplier, 1.0)
                 double = min(double * self.burst_multiplier, 1.0)
                 triple = min(triple * self.burst_multiplier, 1.0)
-        single, double, triple = self._site_probabilities(
-            single, double, triple, address)
+        if self._site_probabilities is not None:
+            single, double, triple = self._site_probabilities(
+                single, double, triple, address)
         roll = self._rng.random()
         if roll >= single + double + triple:
             return None

@@ -51,10 +51,12 @@ to words with no tracked corruption on a lane of its own, bypassing the
 per-access fault bookkeeping; ``repro.mem.view`` documents the lane.
 This module owns the lane's shared state and its contract:
 ``skip_lease`` holds the fault-free accesses leased from the injector
-(``acquire_skip_lease``) and not yet spent; ``fast_read_stall``,
-``fast_read_energy`` and ``fast_write_energy`` are its per-access
-charges, kept current by ``_refresh_fast_lane``; ``fast_reads`` and
-``fast_writes`` count what it served.  Any access the lane cannot serve
+(``acquire_skip_lease``) and not yet spent; ``fast_reads`` and
+``fast_writes`` count what it served.  ``l1_read_stall``,
+``l1_read_energy`` and ``l1_write_energy`` are the per-access L1
+charges of *both* lanes: ``_refresh_l1_charges`` computes them once
+per clock setting, and the lane and :meth:`_charge_l1_access` both add
+them, so one place prices an L1 access.  Any access the lane cannot serve
 falls back to :meth:`read`/:meth:`write`, which return the unspent
 lease (``refund_skip_lease``) before drawing for the access, and a
 clock change returns it too, so the fault schedule is followed
@@ -199,7 +201,7 @@ class MemoryHierarchy:
         #: Fault-free accesses leased from the injector but not yet
         #: spent (see the module docstring's fast-lane protocol).
         self.skip_lease = 0
-        self._refresh_fast_lane()
+        self._refresh_l1_charges()
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -257,7 +259,7 @@ class MemoryHierarchy:
             # injector can re-derive the schedule at the new one.
             self.injector.refund_skip_lease(self.skip_lease)
             self.skip_lease = 0
-        self._refresh_fast_lane()
+        self._refresh_l1_charges()
         self.processor.frequency_change_penalty()
         if self.tracer.enabled:
             self.tracer.emit(FrequencySwitch(
@@ -265,21 +267,27 @@ class MemoryHierarchy:
                 previous_cr=previous, new_cr=relative_cycle_time,
                 reason=reason))
 
-    def _refresh_fast_lane(self) -> None:
-        """Precompute the fast lane's per-access stall and energy charges.
+    def _refresh_l1_charges(self) -> None:
+        """Price one L1 access at the current clock, for both lanes.
 
-        The charges are evaluated through exactly the expressions the
-        full path uses (``l1d_access_energy`` at the current ``Cr`` and
-        protection code, the one-core-cycle load-use floor), so a
-        fast-lane access accumulates bit-identical floats.  Re-derived on
-        every clock change.
+        Loads stall the in-order core for the (clock-scaled) access
+        latency; stores retire through the store buffer without
+        stalling.  The stall cannot drop below one core cycle: however
+        fast the cache array cycles, a load-use pair still spans a full
+        pipeline stage.  This floor is why the paper's delay gains
+        saturate at Cr = 0.5 (2-cycle nominal latency) and Cr = 0.25
+        wins only on energy while losing on fallibility (Section 5.4).
+        The energy is ``l1d_access_energy`` at the current ``Cr`` and
+        protection code.  :meth:`_charge_l1_access` and the MemView lane
+        both add these values, so the two lanes accumulate bit-identical
+        floats.  Re-derived on every clock change.
         """
         model = self.processor.energy.model
         code = self.policy.code
-        self.fast_read_stall = max(1.0, self._l1_latency * self._cycle_time)
-        self.fast_read_energy = model.l1d_access_energy(
+        self.l1_read_stall = max(1.0, self._l1_latency * self._cycle_time)
+        self.l1_read_energy = model.l1d_access_energy(
             False, self._cycle_time, code=code)
-        self.fast_write_energy = model.l1d_access_energy(
+        self.l1_write_energy = model.l1d_access_energy(
             True, self._cycle_time, code=code)
 
     # -- energy / latency callbacks ------------------------------------------------
@@ -339,19 +347,14 @@ class MemoryHierarchy:
     # -- fault bookkeeping --------------------------------------------------------
 
     def _charge_l1_access(self, is_write: bool) -> None:
-        # Loads stall the in-order core for the (clock-scaled) access
-        # latency; stores retire through the store buffer without stalling.
-        # The stall cannot drop below one core cycle: however fast the
-        # cache array cycles, a load-use pair still spans a full pipeline
-        # stage.  This floor is why the paper's delay gains saturate at
-        # Cr = 0.5 (2-cycle nominal latency) and Cr = 0.25 wins only on
-        # energy while losing on fallibility (Section 5.4).
-        if not is_write:
-            stall = max(1.0, self._l1_latency * self._cycle_time)
-            self.processor.stall(stall)
-            self.stall_cycles_l1 += stall
-        self.processor.energy.charge_l1d_access(
-            is_write, self._cycle_time, code=self.policy.code)
+        """Add one L1 access's charges (see :meth:`_refresh_l1_charges`)."""
+        if is_write:
+            self.processor.energy.l1d += self.l1_write_energy
+            return
+        stall = self.l1_read_stall
+        self.processor.cycles += stall
+        self.stall_cycles_l1 += stall
+        self.processor.energy.l1d += self.l1_read_energy
 
     @staticmethod
     def _covered_words(address: int, length: int) -> range:
@@ -425,8 +428,11 @@ class MemoryHierarchy:
         self._charge_l1_access(is_write=False)
         event = self.injector.draw(self._cycle_time, length * 8,
                                    address)
-        read_flips: "dict[int, frozenset[int]]" = {}
-        if event is not None:
+        if event is None:
+            if not self.corruption:
+                return value, "clean"
+            read_flips: "dict[int, frozenset[int]]" = {}
+        else:
             self.injector.record_kind(is_write=False)
             self.fault_sites.append((address, False))
             if self.tracer.enabled:
@@ -593,12 +599,12 @@ class MemoryHierarchy:
             self._charge_l1_access(is_write=True)
             return
         self._charge_l1_access(is_write=True)
-        words = self._covered_words(address, length)
         event = self.injector.draw(self._cycle_time, length * 8,
                                    address)
         if event is None:
-            for word in words:
-                self.corruption.pop(word, None)
+            if self.corruption:
+                for word in self._covered_words(address, length):
+                    self.corruption.pop(word, None)
             return
         self.injector.record_kind(is_write=True)
         self.fault_sites.append((address, True))
@@ -607,7 +613,7 @@ class MemoryHierarchy:
         corrupted = event.apply(value).to_bytes(length, "little")
         self.l1d.poke(address, corrupted)
         flip_map = self._map_flips(address, event.bit_positions)
-        for word in words:
+        for word in self._covered_words(address, length):
             # Check bits are regenerated per word at write time from the
             # intended value, so tracking reflects only this write.
             bits = flip_map.get(word, _NO_BITS)

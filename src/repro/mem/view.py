@@ -83,10 +83,10 @@ def _load(width: int, doc: str) -> "Callable[[MemView, int], int]":
                             stats.read_hits += 1
                             if lease > 0:
                                 h.skip_lease = lease - 1
-                            stall = h.fast_read_stall
+                            stall = h.l1_read_stall
                             h.processor.cycles += stall
                             h.stall_cycles_l1 += stall
-                            h.processor.energy.l1d += h.fast_read_energy
+                            h.processor.energy.l1d += h.l1_read_energy
                             h.fast_reads += 1
                             offset = address - line_address
                             if width == 1:
@@ -149,7 +149,7 @@ def _store(width: int, doc: str,
                             line.dirty = True
                             if lease > 0:
                                 h.skip_lease = lease - 1
-                            h.processor.energy.l1d += h.fast_write_energy
+                            h.processor.energy.l1d += h.l1_write_energy
                             h.fast_writes += 1
                             return
         if address < 0:
@@ -228,7 +228,7 @@ class MemView:
                 line.dirty = True
                 if hazardous:
                     h.skip_lease = lease - chunk
-                h.processor.energy.l1d += chunk * h.fast_write_energy
+                h.processor.energy.l1d += chunk * h.l1_write_energy
                 h.fast_writes += chunk
                 self._chunk_stored(addr, chunk)
                 start += chunk

@@ -1,5 +1,6 @@
 """Generic set-associative cache model."""
 
+import dataclasses
 import random
 
 import pytest
@@ -100,6 +101,72 @@ class TestReplacement:
         for i in range(64):
             cache.read(i * 32, 4)
         assert cache.resident_lines <= 8
+
+
+def cache_state(cache):
+    """The LRU clock, the statistics and every resident line."""
+    return (cache.clock, dataclasses.astuple(cache.stats),
+            [[(line.tag, line.last_use, line.dirty, bytes(line.data))
+              for line in ways] for ways in cache.sets])
+
+
+def resident_line(cache, address):
+    line_index = cache.line_address(address) // cache.line_size
+    tag = line_index // cache.num_sets
+    (line,) = [line for line in cache.sets[line_index % cache.num_sets]
+               if line.tag == tag]
+    return line
+
+
+class TestOnePassLookup:
+    """Edge cases of the hit/miss lookup every slow-path access makes."""
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_straddling_access_changes_nothing(self, is_write):
+        cache, _ = make_cache(size=256, line=32, assoc=2)
+        cache.write(0x00, b"aaaa")
+        cache.read(0x20, 4)    # both lines the access touches are resident
+        before = cache_state(cache)
+        with pytest.raises(StraddlingAccessError) as raised:
+            if is_write:
+                cache.write(0x1E, b"1234")
+            else:
+                cache.read(0x1E, 4)
+        assert str(raised.value) == (
+            "T: access [0x1e, 0x22) straddles a 32-byte line")
+        assert cache_state(cache) == before
+
+    def test_miss_into_a_full_set_evicts_the_lru_line(self):
+        writebacks = []
+        cache, store = make_cache(size=256, line=32, assoc=2,
+                                  on_writeback=writebacks.append)
+        cache.write(0x000, b"aaaa")    # set 0: dirty, least recently used
+        cache.read(0x080, 4)           # set 0: clean
+        cache.read(0x100, 4)           # set 0 is full: evicts 0x000
+        assert [cache.contains(address)
+                for address in (0x000, 0x080, 0x100)] == [False, True, True]
+        assert store.read_block(0x000, 4) == b"aaaa"
+        assert writebacks == [0x000]
+        cache.read(0x180, 4)           # evicts 0x080, clean: no writeback
+        assert not cache.contains(0x080)
+        assert writebacks == [0x000]
+        assert (cache.stats.evictions, cache.stats.writebacks) == (2, 1)
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_fill_stamps_the_line_after_the_tick(self, is_write):
+        fill_clocks = []
+        cache, _ = make_cache(
+            on_fill=lambda address: fill_clocks.append(cache.clock))
+        cache.read(0x40, 4)
+        cache.read(0x44, 4)
+        if is_write:
+            cache.write(0x100, b"zz")
+        else:
+            cache.read(0x100, 4)
+        assert cache.clock == 3
+        assert fill_clocks == [1, 3]
+        assert resident_line(cache, 0x100).last_use == 3
+        assert resident_line(cache, 0x40).last_use == 2
 
 
 class TestCallbacks:

@@ -6,6 +6,7 @@ from repro.core import constants
 from repro.core.recovery import (
     NO_DETECTION,
     ONE_STRIKE,
+    SECDED,
     THREE_STRIKE,
     TWO_STRIKE,
 )
@@ -215,6 +216,49 @@ class TestEnergyCharging:
         one_fill = processor.energy.l2
         hierarchy.l1d.flush()              # writeback
         assert processor.energy.l2 == pytest.approx(one_fill * 2)
+
+
+class TestL1AccessCharge:
+    """A slow-path access adds exactly the energy model's L1 charge.
+
+    The MemView lane adds the same per-clock values, so this pins the
+    price of one L1 access on both lanes, and its refresh on a clock
+    change.
+    """
+
+    @staticmethod
+    def assert_charged(hierarchy, processor, cr, code):
+        """One read and one write each add the model's charge at ``cr``."""
+        hierarchy.write(0x100, 1, 4)       # resident: the accesses hit
+        model = processor.energy.model
+        for is_write in (False, True):
+            energy = processor.energy.l1d
+            cycles = processor.cycles
+            l1_stall = hierarchy.stall_cycles_l1
+            if is_write:
+                hierarchy.write(0x100, 0x5A, 4)
+                stall = 0.0
+            else:
+                hierarchy.read(0x100, 4)
+                stall = max(1.0, constants.L1_HIT_LATENCY_CYCLES * cr)
+            assert processor.energy.l1d == (
+                energy + model.l1d_access_energy(is_write, cr, code))
+            assert processor.cycles == cycles + stall
+            assert hierarchy.stall_cycles_l1 == l1_stall + stall
+        assert hierarchy.injector.stats.total == 0
+
+    @pytest.mark.parametrize("policy", [NO_DETECTION, TWO_STRIKE, SECDED],
+                             ids=lambda policy: policy.code)
+    @pytest.mark.parametrize("cr", constants.RELATIVE_CYCLE_LEVELS)
+    def test_slow_path_charges_the_current_clock(self, cr, policy):
+        processor = Processor()
+        hierarchy = MemoryHierarchy(processor, FaultInjector(seed=0),
+                                    policy=policy, cycle_time=cr,
+                                    memory_size=1 << 20)
+        self.assert_charged(hierarchy, processor, cr, policy.code)
+        other = 1.0 if cr != 1.0 else 0.25
+        hierarchy.set_cycle_time(other)
+        self.assert_charged(hierarchy, processor, other, policy.code)
 
 
 class TestInitialLoadAndInspect:

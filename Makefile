@@ -15,8 +15,8 @@ test:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint
 
-# mypy: strict for repro.analysis, repro.telemetry, repro.oracle, and
-# repro.traffic; permissive elsewhere (configured in pyproject.toml).
+# mypy: strict for repro.analysis, repro.telemetry, and repro.oracle;
+# permissive elsewhere (configured in pyproject.toml).
 typecheck:
 	PYTHONPATH=src $(PYTHON) -m mypy
 

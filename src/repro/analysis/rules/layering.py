@@ -36,14 +36,10 @@ LAYER_DAG: "dict[str, frozenset[str]]" = {
     "mem": frozenset({"core", "cpu", "telemetry", "util"}),
     "apps": frozenset({"net", "mem", "cpu", "core", "util"}),
     "analysis": frozenset({"util"}),
-    # Traffic scenarios synthesise packet streams: packet formats below,
-    # telemetry for the traffic.* counters, nothing machine-shaped.
-    "traffic": frozenset({"net", "core", "telemetry", "util"}),
     "system": frozenset({"net", "mem", "cpu", "core", "apps",
-                         "telemetry", "traffic", "util"}),
+                         "telemetry", "util"}),
     "harness": frozenset({"net", "mem", "cpu", "core", "apps",
-                          "telemetry", "traffic", "system", "analysis",
-                          "util"}),
+                          "telemetry", "system", "analysis", "util"}),
     # The replay backend records through the faithful harness and
     # re-prices traces above it.  The harness must never import it back
     # (the backend registry crosses the boundary by module *name*, via
@@ -56,22 +52,21 @@ LAYER_DAG: "dict[str, frozenset[str]]" = {
     # below them) but nothing may import it except the package root and
     # the facade.
     "oracle": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
-                         "traffic", "system", "harness", "replay",
-                         "util"}),
+                         "system", "harness", "replay", "util"}),
     # The public facade (repro/api.py) sits beside the package root: it
     # re-exports the supported surface and may therefore reach anything.
     "api": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
-                      "traffic", "system", "harness", "replay", "analysis",
-                      "oracle", "util"}),
+                      "system", "harness", "replay", "analysis", "oracle",
+                      "util"}),
     "repro": frozenset({"net", "mem", "cpu", "core", "apps", "telemetry",
-                        "traffic", "system", "harness", "replay",
-                        "analysis", "oracle", "util", "api"}),
+                        "system", "harness", "replay", "analysis",
+                        "oracle", "util", "api"}),
 }
 
 #: Layers that may import :mod:`repro.telemetry` (the instrumented
 #: consumers); implied by LAYER_DAG but named for the error message.
-TELEMETRY_CONSUMERS = frozenset({"mem", "traffic", "system", "harness",
-                                 "oracle", "telemetry", "api", "repro"})
+TELEMETRY_CONSUMERS = frozenset({"mem", "system", "harness", "oracle",
+                                 "telemetry", "api", "repro"})
 
 
 def _imported_repro_modules(context: FileContext,

@@ -18,7 +18,7 @@ code that wants stability across versions should import from
     engine = CampaignEngine(store=ResultStore(".repro-cache"))
     results = engine.run([ExperimentConfig(app="route", cycle_time=0.5)])
 
-The surface covers eight layers of use:
+The surface covers seven layers of use:
 
 * **single runs** -- :func:`run` (the unified entry point: pick a
   backend, optionally attach a tracer or engine), its config/result
@@ -49,14 +49,6 @@ The surface covers eight layers of use:
   their address-indexed maps :class:`CorrelatedFaultMap` /
   :class:`TieredFaultMap` via :func:`make_fault_map`, and
   :data:`MAPPED_INJECTOR_NAMES`), and :data:`INJECTOR_NAMES`;
-* **traffic scenarios** -- the seeded production-shaped load engine
-  behind ``python -m repro traffic`` and
-  ``ExperimentConfig(scenario=...)`` (see docs/TRAFFIC.md):
-  :class:`Scenario`, :data:`SCENARIO_NAMES`, :func:`scenario_stream` /
-  :class:`TimedPacket`, and the line-rate replay
-  (:func:`simulate_scenario` / :class:`ScenarioSeries` /
-  :class:`TrafficBucket`, :class:`ServiceModel`,
-  :func:`scenario_loss_curve`);
 * **verification** -- the oracle subsystem behind ``python -m repro
   check`` (see docs/VERIFICATION.md): :func:`run_check` /
   :class:`OracleReport`, the differential twins (:func:`run_differential`,
@@ -123,21 +115,8 @@ from repro.replay import (
     trace_key,
     trace_store,
 )
-from repro.system.linerate import (
-    ScenarioSeries,
-    ServiceModel,
-    TrafficBucket,
-    scenario_loss_curve,
-    simulate_scenario,
-)
 from repro.system.multicore import MulticoreResult, run_multicore
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.traffic.generators import (
-    SCENARIO_NAMES,
-    TimedPacket,
-    scenario_stream,
-)
-from repro.traffic.scenario import Scenario
 
 __all__ = [
     "ALL_POLICIES",
@@ -164,20 +143,14 @@ __all__ = [
     "PLANES",
     "RecoveryPolicy",
     "ResultStore",
-    "SCENARIO_NAMES",
-    "Scenario",
-    "ScenarioSeries",
-    "ServiceModel",
     "SweepPoint",
     "THREE_STRIKE",
     "TWO_STRIKE",
     "TieredFaultInjector",
     "TieredFaultMap",
-    "TimedPacket",
     "Trace",
     "TraceStore",
     "Tracer",
-    "TrafficBucket",
     "Violation",
     "canonical_json",
     "check_invariants",
@@ -201,10 +174,7 @@ __all__ = [
     "run_fuzz",
     "run_multicore",
     "save_results",
-    "scenario_loss_curve",
-    "scenario_stream",
     "set_trace_store",
-    "simulate_scenario",
     "sweep",
     "trace_key",
     "trace_store",

@@ -166,9 +166,9 @@ def workload_from_packets(
         factory = {"crc": CrcApp, "md5": Md5App}[name]
         return Workload(name, packets, lambda env: factory(env))
     prefixes = make_prefixes(prefix_count, seed)
-    # Scenario-driven tables run at realistic occupancy (thousands of
-    # prefixes / bindings), so the radix arena scales with the table
-    # instead of assuming the 64-prefix default fits.
+    # A caller may size the routing table far beyond the 64-prefix
+    # default (``prefix_count`` in the thousands), so the radix arena
+    # scales with the table instead of assuming the default fits.
     max_nodes = max(4096, 4 * (prefix_count + 1))
     if name == "tl":
         return Workload("tl", packets,

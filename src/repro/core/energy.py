@@ -92,18 +92,8 @@ class EnergyAccount:
             raise ValueError("cannot charge negative cycles")
         self.core += cycles * self.model.core_energy_per_cycle
 
-    def charge_l1d_access(self, is_write: bool, relative_cycle_time: float,
-                          code: str = "none") -> None:
-        """Charge one L1 data-cache access at clock ``Cr``."""
-        self.l1d += self.model.l1d_access_energy(
-            is_write, relative_cycle_time, code)
-
-    def charge_l1i_access(self) -> None:
-        """Charge one instruction fetch."""
-        self.l1i += self.model.l1i_read_energy
-
     def charge_l1i_accesses(self, count: int) -> None:
-        """Bulk form of :meth:`charge_l1i_access` (one fetch per instruction)."""
+        """Charge ``count`` instruction fetches (one per instruction)."""
         if count < 0:
             raise ValueError("cannot charge a negative access count")
         self.l1i += count * self.model.l1i_read_energy

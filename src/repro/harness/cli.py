@@ -9,16 +9,12 @@ Usage::
     python -m repro fig12b --injector geometric
     python -m repro fig9a --backend replay
     python -m repro trace route --packets 200
-    python -m repro traffic flash-crowd --seed 0
     python -m repro lint --format json
     python -m repro check --quick
 
 Experiment ids follow DESIGN.md's experiment index.  ``trace`` is a
 subcommand (see :mod:`repro.harness.tracecmd`): it runs one traced
-experiment and exports its telemetry event log.  ``traffic`` replays a
-seeded traffic scenario through the line-rate queue model and prints
-the time-bucketed series as canonical JSON (see
-:mod:`repro.harness.trafficcmd`).  ``lint`` runs
+experiment and exports its telemetry event log.  ``lint`` runs
 reprolint, the AST-based invariant linter (see :mod:`repro.analysis`).
 ``check`` runs the verification oracle (see :mod:`repro.oracle` and
 docs/VERIFICATION.md) -- it is dispatched by :mod:`repro.__main__`, not
@@ -268,9 +264,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv and argv[0] == "trace":
         from repro.harness import tracecmd
         return tracecmd.main(argv[1:])
-    if argv and argv[0] == "traffic":
-        from repro.harness import trafficcmd
-        return trafficcmd.main(argv[1:])
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
         return lint_main(argv[1:])
@@ -286,12 +279,9 @@ def main(argv: "list[str] | None" = None) -> int:
                     "Processors' (MICRO-37, 2004)",
         parents=[backend_parent_parser()])
     parser.add_argument("experiment",
-                        choices=sorted(renderers) + ["all", "trace",
-                                                     "traffic", "lint"],
+                        choices=sorted(renderers) + ["all", "trace", "lint"],
                         help="experiment id from DESIGN.md, 'all', "
-                             "'trace <app>' (traced run + event log), "
-                             "'traffic <scenario>' (scenario replay "
-                             "through the line-rate queue), or "
+                             "'trace <app>' (traced run + event log), or "
                              "'lint' (reprolint static analysis)")
     parser.add_argument("--packets", type=int, default=300,
                         help="packets per simulated run (default 300)")

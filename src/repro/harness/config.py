@@ -9,7 +9,6 @@ from repro.core.recovery import NO_DETECTION, RecoveryPolicy, policy_by_name
 from repro.harness.backends import BACKEND_NAMES
 from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES, validate_fault_map_params
 from repro.mem.faults import INJECTOR_NAMES
-from repro.traffic.generators import SCENARIO_NAMES
 
 #: Where fault injection is active (paper Figures 6/7 study the planes
 #: separately).
@@ -34,13 +33,6 @@ class ExperimentConfig:
     the *faulty* run (the golden run is never traced).  Tracing is pure
     observation -- it does not participate in config equality and cannot
     perturb results.
-
-    ``scenario`` optionally names a ``repro.traffic`` generator; when
-    set, the workload's packets come from that scenario (at this
-    config's ``packet_count`` and ``seed``, with generator knobs taken
-    from ``workload_kwargs``) instead of the fixed per-app trace, and
-    the application tables are synthesised from the scenario's own
-    packets at realistic occupancy.
 
     ``injector`` selects the fault-sampling implementation (see
     :data:`repro.mem.faults.INJECTOR_NAMES`): ``"reference"`` draws one
@@ -90,7 +82,6 @@ class ExperimentConfig:
     l2_fill_fault_probability: float = 0.0
     injector: str = "reference"
     fault_map_params: "tuple[tuple[str, float], ...]" = ()
-    scenario: "str | None" = None
     workload_kwargs: "dict[str, object]" = field(default_factory=dict)
     backend: str = "execute"
     # Typed as object to keep this module telemetry-agnostic; any value
@@ -139,10 +130,6 @@ class ExperimentConfig:
         # Unknown keys / out-of-range values / params on a non-mapped
         # injector all fail here, at config-build time.
         validate_fault_map_params(self.injector, dict(normalised))
-        if self.scenario is not None and self.scenario not in SCENARIO_NAMES:
-            raise ValueError(
-                f"scenario must be one of {SCENARIO_NAMES}, "
-                f"got {self.scenario!r}")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES}, "
@@ -157,8 +144,6 @@ class ExperimentConfig:
         label = f"{self.app}/{clock}/{self.policy.name}/{self.planes}"
         if self.injector != "reference":
             label += f"/{self.injector}"
-        if self.scenario is not None:
-            label += f"/{self.scenario}"
         if self.backend != "execute":
             label += f"/{self.backend}"
         return label
@@ -183,8 +168,7 @@ class ExperimentConfig:
         """
         return ExperimentConfig(
             app=self.app, packet_count=self.packet_count, seed=self.seed,
-            injector="geometric", scenario=self.scenario,
-            workload_kwargs=dict(self.workload_kwargs))
+            injector="geometric", workload_kwargs=dict(self.workload_kwargs))
 
     def to_json(self) -> "dict[str, object]":
         """Canonical JSON-safe representation (the store key's substrate).
@@ -234,7 +218,6 @@ class ExperimentConfig:
             # JSON-serialisable (tuples dump as arrays) *and* hashable,
             # which the oracle's grouping keys rely on.
             "fault_map_params": self.fault_map_params,
-            "scenario": self.scenario,
             "workload_kwargs": dict(self.workload_kwargs),
             "backend": self.backend,
         }
@@ -260,8 +243,8 @@ class ExperimentConfig:
             "quarter_cycle_multiplier", "memory_size", "l1_size_bytes",
             "l1_associativity", "burst_start_probability", "burst_length",
             "burst_multiplier", "l2_fill_fault_probability",
-            "injector", "fault_map_params", "scenario",
-            "workload_kwargs", "backend"}
+            "injector", "fault_map_params", "workload_kwargs",
+            "backend"}
         unknown = sorted(set(payload) - field_names)
         if unknown:
             raise ValueError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import Environment, FATAL_CATEGORY, NetBenchApp
-from repro.apps.registry import Workload, make_workload, workload_from_packets
+from repro.apps.registry import Workload, make_workload
 from repro.core import constants
 from repro.core.dynamic import DynamicFrequencyController
 from repro.core.fault_model import FaultModel
@@ -46,8 +46,6 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
 from repro.telemetry.events import FatalError, PacketDone
 from repro.telemetry.tracer import NULL_TRACER
-from repro.traffic.generators import scenario_stream
-from repro.traffic.scenario import Scenario
 
 #: Simulated address where application allocations begin (0 stays an
 #: invalid "null pointer").
@@ -346,7 +344,7 @@ _GOLDEN_CACHE: "dict[tuple, list[dict[str, object]]]" = {}
 
 
 def _golden_key(config: ExperimentConfig) -> tuple:
-    return (config.app, config.packet_count, config.seed, config.scenario,
+    return (config.app, config.packet_count, config.seed,
             tuple(sorted(config.workload_kwargs.items())))
 
 
@@ -391,25 +389,7 @@ def golden_observations(workload: Workload, config: ExperimentConfig,
 
 
 def load_workload(config: ExperimentConfig) -> Workload:
-    """Build the deterministic workload a config describes.
-
-    With ``config.scenario`` set, the packets come from the named
-    ``repro.traffic`` generator (budget and seed from the config,
-    generator knobs from ``workload_kwargs``) and the application tables
-    are synthesised from those packets via
-    :func:`~repro.apps.registry.workload_from_packets` -- realistic
-    occupancy instead of the fixed per-app trace.  ``prefix_count`` in
-    ``workload_kwargs`` sizes the synthesised routing table (generators
-    ignore it).
-    """
-    if config.scenario is not None:
-        scenario = Scenario(
-            generator=config.scenario, packet_count=config.packet_count,
-            seed=config.seed, params=dict(config.workload_kwargs))
-        packets = [timed.packet for timed in scenario_stream(scenario)]
-        prefix_count = int(config.workload_kwargs.get("prefix_count", 64))
-        return workload_from_packets(config.app, packets, config.seed,
-                                     prefix_count=prefix_count)
+    """Build the deterministic workload a config describes."""
     return make_workload(config.app, config.packet_count, config.seed,
                          **config.workload_kwargs)
 

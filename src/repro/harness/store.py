@@ -60,7 +60,8 @@ from repro.harness.experiment import ExperimentResult
 #: other read (a single-bit fault there is corrected, a double-bit one
 #: counted as detected), and replay-priced configs sum ``energy.l1d``
 #: and ``energy.total`` in execution order.
-CODE_VERSION = "clumsy-repro-v6"
+#: v7: the config JSON schema lost the ``scenario`` field.
+CODE_VERSION = "clumsy-repro-v7"
 
 #: Hex digits of the chunk-key digest used in chunk file names.
 _CHUNK_DIGEST_LENGTH = 12

@@ -76,10 +76,8 @@ def address_in_prefix(prefix: RoutePrefix, rng: random.Random) -> int:
 def zipf_weights(count: int, skew: float) -> "list[float]":
     """Unnormalised Zipf popularity weights for ``count`` ranks.
 
-    The materialised form of the Zipf law -- fine for the dozens of
-    prefixes the fixed traces use.  For flow populations too large to
-    tabulate, :func:`repro.traffic.flows.zipf_rank` draws from the same
-    law in O(1) without building this list.
+    The materialised form of the Zipf law (one weight per rank) -- fine
+    for the dozens of prefixes, flows and paths the fixed traces use.
     """
     return [1.0 / (rank + 1) ** skew for rank in range(count)]
 

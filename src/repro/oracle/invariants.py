@@ -16,10 +16,6 @@ relations come straight from the paper:
 * dynamic-frequency runs move only between adjacent ladder levels at
   epoch boundaries, per the X1 = 200% / X2 = 80% scheme of Section 4;
 * the error accounting balances (Section 4.1's fallibility bookkeeping);
-* the traffic-scenario queue model conserves packets (offered = dropped
-  + completed + queued) and its loss curve never falls as offered load
-  rises -- the line-rate face of the reproduction (these two replay a
-  fixed seeded scenario, like the model-level fault-curve check);
 * way-disabling recovery retires at most ``associativity - 1`` ways per
   set, never retires a way without the detected-fault budget that the
   strikeout threshold implies, and never fires under policies that do
@@ -519,93 +515,3 @@ class WayCapacityMonotone(Invariant):
                     f"retirement needs {policy.way_disable_threshold} "
                     f"strikeouts x {policy.strikes} strikes "
                     f"= {budget} detections minimum", config=label)
-
-
-#: The fixed scenario the traffic invariants replay: small enough to be
-#: cheap on every ``repro check``, bursty enough that the finite buffer
-#: actually drops packets across the load grid.
-_TRAFFIC_PROBE = {"generator": "flash-crowd", "packet_count": 1500,
-                  "seed": 7}
-_TRAFFIC_BUFFER = 32
-_TRAFFIC_LOADS = (0.5, 0.7, 0.9, 1.1, 1.25)
-
-
-@register_invariant
-class ScenarioLossMonotone(Invariant):
-    """Scenario loss never drops as the offered load scales up."""
-
-    id = "scenario-loss-monotone"
-    short = "traffic loss curve non-decreasing under load scaling"
-    paper = "(traffic extension; queueing loss vs offered load)"
-    per_result = False
-
-    def check(self, results: "list[ExperimentResult]",
-              ) -> "Iterator[Violation]":
-        # Model-level, like fault-curve-monotone: replays a fixed seeded
-        # scenario rather than inspecting the sweep's results.
-        from repro.system.linerate import scenario_loss_curve
-        from repro.traffic.scenario import Scenario
-
-        scenario = Scenario(**_TRAFFIC_PROBE)
-        curve = scenario_loss_curve(scenario, _TRAFFIC_LOADS,
-                                    buffer_packets=_TRAFFIC_BUFFER)
-        # Individual drop decisions may flip when time is rescaled, so
-        # allow one packet of slack; the trend must still point up.
-        slack = 1.0 / scenario.packet_count
-        for (load_a, loss_a), (load_b, loss_b) in zip(curve, curve[1:]):
-            if loss_b < loss_a - slack:
-                yield self.violation(
-                    f"loss fell from {loss_a:.4f} at load {load_a} to "
-                    f"{loss_b:.4f} at load {load_b} "
-                    f"({scenario.label}): scaling the same arrival "
-                    f"sequence faster must not reduce loss")
-
-
-@register_invariant
-class ScenarioConservation(Invariant):
-    """Every offered packet is dropped, completed, or still queued."""
-
-    id = "scenario-conservation"
-    short = "traffic accounting: offered = dropped + completed + queued"
-    paper = "(traffic extension; flow conservation)"
-    per_result = False
-
-    def check(self, results: "list[ExperimentResult]",
-              ) -> "Iterator[Violation]":
-        from repro.system.linerate import simulate_scenario
-        from repro.traffic.scenario import Scenario
-
-        scenario = Scenario(**_TRAFFIC_PROBE)
-        for load in _TRAFFIC_LOADS:
-            series = simulate_scenario(scenario, load=load,
-                                       buffer_packets=_TRAFFIC_BUFFER)
-            totals = series.totals
-            label = f"{scenario.label}@load={load}"
-            balance = (totals.dropped_packets + series.completed_packets
-                       + series.queued_at_end)
-            if balance != totals.offered_packets:
-                yield self.violation(
-                    f"offered {totals.offered_packets} != dropped "
-                    f"{totals.dropped_packets} + completed "
-                    f"{series.completed_packets} + queued "
-                    f"{series.queued_at_end}", config=label)
-            if totals.served_packets + totals.dropped_packets \
-                    != totals.offered_packets:
-                yield self.violation(
-                    f"served {totals.served_packets} + dropped "
-                    f"{totals.dropped_packets} != offered "
-                    f"{totals.offered_packets}", config=label)
-            in_system = 0
-            for bucket in series.buckets:
-                in_system += bucket.offered - bucket.dropped - bucket.completed
-                if bucket.queued_at_end != in_system:
-                    yield self.violation(
-                        f"bucket [{bucket.start_cycles:.0f}, "
-                        f"{bucket.end_cycles:.0f}) reports "
-                        f"{bucket.queued_at_end} queued but the running "
-                        f"balance is {in_system}", config=label)
-            if series.buckets and \
-                    series.buckets[-1].queued_at_end != series.queued_at_end:
-                yield self.violation(
-                    f"final bucket queue {series.buckets[-1].queued_at_end} "
-                    f"!= series queue {series.queued_at_end}", config=label)

@@ -14,24 +14,12 @@ simulator's per-packet service times (cycles) into that currency:
 
 Over-clocking the L1D shortens service times, so the same engine sustains
 a faster line -- the throughput face of the paper's delay reductions.
-
-The scenario path (:func:`simulate_scenario`) replays a seeded
-``repro.traffic`` stream -- bursty, ramping, adversarial -- through the
-same finite-buffer queue, rescaling the stream's dimensionless arrival
-times into cycles so that a requested offered load lands on the engine's
-saturation point, and reports a *time-bucketed* series (offered /
-dropped / completed / occupancy / tail latency per bucket) instead of a
-single aggregate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.traffic.generators import scenario_stream
-from repro.traffic.scenario import Scenario
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -86,8 +74,6 @@ def simulate_queue(
         raise ValueError("need at least one buffer slot")
     if not service_cycles:
         raise ValueError("need at least one service time")
-    from collections import deque
-
     waiting: "deque[float]" = deque()
     server_free_at = 0.0   # completion time of the in-service packet
     dropped = 0
@@ -138,281 +124,3 @@ def loss_curve(
         points.append((load, result.loss_rate))
     return points
 
-
-# ---------------------------------------------------------------------------
-# Scenario-driven simulation (the repro.traffic path)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """Per-packet service demand as a linear function of wire length.
-
-    The scenario path needs a service demand for packets it has never
-    run through a kernel; this affine model (fixed per-packet overhead
-    plus a per-byte cost) is the standard abstraction, with defaults in
-    the range the seven kernels measure.  Calibrate ``base_cycles`` /
-    ``cycles_per_byte`` from measured service times to match a specific
-    engine configuration.
-    """
-
-    base_cycles: float = 250.0
-    cycles_per_byte: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.base_cycles <= 0.0 or self.cycles_per_byte < 0.0:
-            raise ValueError("service model needs positive base cycles "
-                             "and non-negative per-byte cycles")
-
-    def cycles_for(self, length: int) -> float:
-        """Service demand (cycles) for one packet of ``length`` bytes."""
-        return self.base_cycles + self.cycles_per_byte * length
-
-
-@dataclass(frozen=True)
-class TrafficBucket:
-    """One time bucket of a scenario replay (all times in cycles)."""
-
-    start_cycles: float
-    end_cycles: float
-    offered: int
-    dropped: int
-    completed: int
-    queued_at_end: int
-    peak_occupancy: int
-    p50_latency_cycles: float
-    p99_latency_cycles: float
-
-    def to_json(self) -> "dict[str, object]":
-        """JSON-safe representation (stable key order via sort_keys)."""
-        return {
-            "start_cycles": self.start_cycles,
-            "end_cycles": self.end_cycles,
-            "offered": self.offered,
-            "dropped": self.dropped,
-            "completed": self.completed,
-            "queued_at_end": self.queued_at_end,
-            "peak_occupancy": self.peak_occupancy,
-            "p50_latency_cycles": self.p50_latency_cycles,
-            "p99_latency_cycles": self.p99_latency_cycles,
-        }
-
-
-@dataclass(frozen=True)
-class ScenarioSeries:
-    """Time-bucketed outcome of replaying one scenario at one load.
-
-    The conservation identity holds exactly by construction::
-
-        totals.offered_packets ==
-            totals.dropped_packets + completed + queued_at_end
-
-    where ``completed`` is the bucket-sum of completions inside the
-    observation horizon (the last arrival instant) and
-    ``queued_at_end`` counts packets admitted but still in the system at
-    the horizon.  The oracle's ``scenario-conservation`` invariant
-    re-checks this identity on a live replay.
-    """
-
-    scenario: Scenario
-    load: float
-    buffer_packets: int
-    service: ServiceModel
-    cycles_per_time_unit: float
-    horizon_cycles: float
-    totals: QueueResult
-    queued_at_end: int
-    buckets: "tuple[TrafficBucket, ...]" = field(default_factory=tuple)
-
-    @property
-    def completed_packets(self) -> int:
-        """Packets that finished service inside the horizon."""
-        return sum(bucket.completed for bucket in self.buckets)
-
-    def to_json(self) -> "dict[str, object]":
-        """JSON-safe representation of the whole series."""
-        return {
-            "scenario": self.scenario.to_json(),
-            "load": self.load,
-            "buffer_packets": self.buffer_packets,
-            "service": {"base_cycles": self.service.base_cycles,
-                        "cycles_per_byte": self.service.cycles_per_byte},
-            "cycles_per_time_unit": self.cycles_per_time_unit,
-            "horizon_cycles": self.horizon_cycles,
-            "totals": {
-                "offered_packets": self.totals.offered_packets,
-                "served_packets": self.totals.served_packets,
-                "dropped_packets": self.totals.dropped_packets,
-                "completed_packets": self.completed_packets,
-                "queued_at_end": self.queued_at_end,
-                "peak_occupancy": self.totals.peak_occupancy,
-                "mean_occupancy": self.totals.mean_occupancy,
-                "loss_rate": self.totals.loss_rate,
-                "goodput_fraction": self.totals.goodput_fraction,
-            },
-            "buckets": [bucket.to_json() for bucket in self.buckets],
-        }
-
-
-def _percentile(sorted_values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0.0 if empty)."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
-
-
-def simulate_scenario(
-    scenario: Scenario,
-    load: float = 0.9,
-    service: "ServiceModel | None" = None,
-    buffer_packets: int = 64,
-    bucket_count: int = 24,
-    counters: "object | None" = None,
-) -> ScenarioSeries:
-    """Replay a traffic scenario through the finite-buffer queue.
-
-    Two passes over the (cheap, regenerable) stream: a calibration pass
-    measures the mean service demand and the arrival span, fixing the
-    time scale so the *mean* offered load equals ``load`` (1.0 = the
-    engine's saturation point); the replay pass then streams packets
-    through a G/G/1/K queue -- ``buffer_packets`` waiting slots plus one
-    in service -- in O(buffer) simulation state, bucketing the horizon
-    (first to last arrival) into ``bucket_count`` equal windows.
-
-    Bursty streams drop packets at mean loads a deterministic stream
-    would sail through; that burst-vs-buffer interaction is the point of
-    the scenario path.
-    """
-    if load <= 0.0:
-        raise ValueError("load must be positive")
-    if buffer_packets < 1:
-        raise ValueError("need at least one buffer slot")
-    if bucket_count < 1:
-        raise ValueError("need at least one bucket")
-    if service is None:
-        service = ServiceModel()
-
-    # Pass 1: calibrate.  The stream is a pure function of the scenario,
-    # so regenerating it costs time, not memory.
-    count = 0
-    demand_sum = 0.0
-    span = 0.0
-    for timed in scenario_stream(scenario):
-        count += 1
-        demand_sum += service.cycles_for(timed.packet.length)
-        span = timed.time
-    if count == 0:
-        return ScenarioSeries(
-            scenario=scenario, load=load, buffer_packets=buffer_packets,
-            service=service, cycles_per_time_unit=1.0, horizon_cycles=0.0,
-            totals=QueueResult(0, 0, 0, 0, 0.0), queued_at_end=0,
-            buckets=())
-    mean_service = demand_sum / count
-    mean_gap = span / count
-    scale = mean_service / (load * mean_gap) if mean_gap > 0.0 else 1.0
-    horizon = span * scale
-    width = horizon / bucket_count if horizon > 0.0 else 1.0
-
-    offered_by = [0] * bucket_count
-    dropped_by = [0] * bucket_count
-    completed_by = [0] * bucket_count
-    peak_by = [0] * bucket_count
-    latencies_by: "list[list[float]]" = [[] for _ in range(bucket_count)]
-
-    def bucket_index(cycles: float) -> int:
-        return min(bucket_count - 1, int(cycles / width))
-
-    def record_completion(completion: float, arrival: float) -> None:
-        index = bucket_index(completion)
-        completed_by[index] += 1
-        latencies_by[index].append(completion - arrival)
-
-    # Pass 2: replay.  ``in_flight`` holds (completion, arrival) pairs
-    # for the in-service packet plus the waiting queue -- never more
-    # than buffer_packets + 1 entries, the fixed memory bound.
-    in_flight: "deque[tuple[float, float]]" = deque()
-    dropped = 0
-    occupancy_sum = 0
-    peak = 0
-    for timed in scenario_stream(scenario, counters=counters):
-        now = timed.time * scale
-        while in_flight and in_flight[0][0] <= now:
-            record_completion(*in_flight.popleft())
-        occupancy = len(in_flight)
-        occupancy_sum += occupancy
-        peak = max(peak, occupancy)
-        index = bucket_index(now)
-        offered_by[index] += 1
-        peak_by[index] = max(peak_by[index], occupancy)
-        if occupancy >= buffer_packets + 1:
-            dropped += 1
-            dropped_by[index] += 1
-            continue
-        start = in_flight[-1][0] if in_flight else now
-        in_flight.append((start + service.cycles_for(timed.packet.length),
-                          now))
-    # Completions that land inside the horizon still count as completed;
-    # everything later is in-system at the end of the observation window.
-    while in_flight and in_flight[0][0] <= horizon:
-        record_completion(*in_flight.popleft())
-    queued_at_end = len(in_flight)
-
-    if counters is not None:
-        counters.bump("traffic.offered", count)
-        counters.bump("traffic.dropped", dropped)
-        counters.bump("traffic.completed", count - dropped - queued_at_end)
-        counters.bump("traffic.queued_at_end", queued_at_end)
-
-    buckets = []
-    in_system = 0
-    for index in range(bucket_count):
-        in_system += (offered_by[index] - dropped_by[index]
-                      - completed_by[index])
-        latencies = sorted(latencies_by[index])
-        buckets.append(TrafficBucket(
-            start_cycles=index * width,
-            end_cycles=(index + 1) * width,
-            offered=offered_by[index],
-            dropped=dropped_by[index],
-            completed=completed_by[index],
-            queued_at_end=in_system,
-            peak_occupancy=peak_by[index],
-            p50_latency_cycles=_percentile(latencies, 0.50),
-            p99_latency_cycles=_percentile(latencies, 0.99),
-        ))
-    totals = QueueResult(
-        offered_packets=count,
-        served_packets=count - dropped,
-        dropped_packets=dropped,
-        peak_occupancy=peak,
-        mean_occupancy=occupancy_sum / count,
-    )
-    return ScenarioSeries(
-        scenario=scenario, load=load, buffer_packets=buffer_packets,
-        service=service, cycles_per_time_unit=scale,
-        horizon_cycles=horizon, totals=totals,
-        queued_at_end=queued_at_end, buckets=tuple(buckets))
-
-
-def scenario_loss_curve(
-    scenario: Scenario,
-    load_fractions: "Iterable[float]",
-    service: "ServiceModel | None" = None,
-    buffer_packets: int = 64,
-    bucket_count: int = 24,
-) -> "list[tuple[float, float]]":
-    """Loss rate of one scenario at several offered loads.
-
-    The scenario analogue of :func:`loss_curve`: the same seeded stream
-    replays at each load, so the curve isolates the load knob from the
-    arrival structure.
-    """
-    points = []
-    for load in load_fractions:
-        result = simulate_scenario(
-            scenario, load=load, service=service,
-            buffer_packets=buffer_packets, bucket_count=bucket_count)
-        points.append((load, result.totals.loss_rate))
-    if not points:
-        raise ValueError("need at least one load point")
-    return points

@@ -15,8 +15,6 @@ from repro.core.recovery import TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.mem.faults import INJECTOR_NAMES
 from repro.oracle.fuzz import CONFIG_SPACE, build_config
-from repro.traffic.generators import SCENARIO_NAMES
-from repro.traffic.scenario import Scenario
 
 #: Every MemView accessor, as "<r|w><width-in-bits>" tags.
 ACCESS_KINDS = ("r8", "r16", "r32", "w8", "w16", "w32")
@@ -95,22 +93,6 @@ def injectors():
 def seeds():
     """Experiment seeds (any non-negative 31-bit value)."""
     return st.integers(min_value=0, max_value=2 ** 31 - 1)
-
-
-def scenarios(max_packets: int = 400):
-    """Valid traffic :class:`Scenario` values across the registry.
-
-    Generator-specific knobs stay at their registry defaults so every
-    drawn scenario is valid for its generator by construction; the
-    budget includes zero (the empty-stream boundary the linerate guards
-    exist for) and shrinks toward it.
-    """
-    return st.builds(
-        Scenario,
-        generator=st.sampled_from(sorted(SCENARIO_NAMES)),
-        packet_count=st.integers(min_value=0, max_value=max_packets),
-        seed=seeds(),
-    )
 
 
 def cycle_times():

@@ -52,8 +52,8 @@ class TestAccount:
     def test_components_accumulate(self, model):
         account = EnergyAccount(model=model)
         account.charge_core_cycles(10)
-        account.charge_l1d_access(False, 1.0, code="none")
-        account.charge_l1i_access()
+        account.l1d += model.l1d_access_energy(False, 1.0, code="none")
+        account.charge_l1i_accesses(1)
         account.charge_l2_access()
         expected = (10 * model.core_energy_per_cycle
                     + model.l1d_read_energy + model.l1i_read_energy
@@ -65,13 +65,13 @@ class TestAccount:
         bulk.charge_l1i_accesses(37)
         single = EnergyAccount(model=model)
         for _ in range(37):
-            single.charge_l1i_access()
+            single.charge_l1i_accesses(1)
         assert bulk.l1i == pytest.approx(single.l1i)
 
     def test_l1d_fraction(self, model):
         account = EnergyAccount(model=model)
         assert account.l1d_fraction == 0.0
-        account.charge_l1d_access(False, 1.0, code="none")
+        account.l1d += model.l1d_access_energy(False, 1.0, code="none")
         assert account.l1d_fraction == pytest.approx(1.0)
         account.charge_core_cycles(100)
         assert 0.0 < account.l1d_fraction < 1.0
@@ -100,7 +100,8 @@ class TestRepresentativeMixFraction:
         account.charge_core_cycles(cycles)
         account.charge_l1i_accesses(instructions)
         for index in range(accesses):
-            account.charge_l1d_access(index % 3 == 0, 1.0, code="none")
+            account.l1d += model.l1d_access_energy(index % 3 == 0, 1.0,
+                                                   code="none")
         for _ in range(accesses // 20):  # ~5% miss traffic
             account.charge_l2_access()
         assert account.l1d_fraction == pytest.approx(

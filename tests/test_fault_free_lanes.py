@@ -66,13 +66,13 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
 REPLAY_DIGESTS = GOLDEN_DIR / "replay_digests.json"
 
-#: Recorded workloads: every app, a traffic scenario, and a cache
+#: Recorded workloads: every app, one non-default workload, and a cache
 #: geometry other than the default direct-mapped 4 KB L1.
 TRACE_WORKLOADS = {
     **{app: ExperimentConfig(app=app, packet_count=30, seed=7)
        for app in NETBENCH_APPS},
-    "nat-exhaustion": ExperimentConfig(app="nat", packet_count=30, seed=7,
-                                       scenario="nat-exhaustion"),
+    "nat-64-flows": ExperimentConfig(app="nat", packet_count=30, seed=7,
+                                     workload_kwargs={"flow_count": 64}),
     "crc-2way-8k": ExperimentConfig(app="crc", packet_count=30, seed=7,
                                     l1_associativity=2, l1_size_bytes=8192),
 }

@@ -126,9 +126,10 @@ class TestCli:
         assert main(["fig1b", "--packets", "10", "--seeds", "1,2"]) == 0
         assert "Figure 1(b)" in capsys.readouterr().out
 
-    def test_unknown_experiment_rejected(self):
+    @pytest.mark.parametrize("experiment", ["fig99", "traffic"])
+    def test_unknown_experiment_rejected(self, experiment):
         with pytest.raises(SystemExit):
-            main(["fig99"])
+            main([experiment])
 
     def test_simulated_experiment_small(self, capsys):
         assert main(["fig8", "--packets", "30", "--seeds", "3"]) == 0

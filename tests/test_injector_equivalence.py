@@ -390,7 +390,7 @@ class TestInjectorFamilyDeterminism:
     def test_infeasible_geometry_refuses_clearly(self):
         # A 4-row array cannot carry a 4x weak row and keep the strong
         # complement positive; the sampler refuses rather than silently
-        # clamping the measured-silicon structure (DESIGN.md §14).
+        # clamping the measured-silicon structure (DESIGN.md §13).
         with pytest.raises(ValueError, match="infeasible"):
             make_fault_map("correlated", seed=0, rows=4, ways=2,
                            line_size=MAP_LINE, params={})

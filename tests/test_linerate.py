@@ -89,8 +89,9 @@ class TestQueueSimulation:
 
 class TestEdgeCases:
     def test_zero_offered_result_is_well_defined(self):
-        # Zero-packet scenarios reach QueueResult directly (the scenario
-        # path returns this shape); the ratios must not divide by zero.
+        # simulate_queue never offers zero packets, but QueueResult is a
+        # public value a caller may build empty; the ratios must not
+        # divide by zero.
         result = QueueResult(offered_packets=0, served_packets=0,
                              dropped_packets=0, peak_occupancy=0,
                              mean_occupancy=0.0)

@@ -76,9 +76,15 @@ class TestConfigRoundTrip:
         assert traced.to_json() == config.to_json()
         assert config_key(traced) == config_key(config)
 
-    def test_unknown_field_rejected(self):
+    @pytest.mark.parametrize("name, value", [
+        ("frequency_boost", 2.0),
+        # A v6-schema entry (old cache or save_results corpus): the
+        # scenario field is gone and must not be dropped silently.
+        ("scenario", None),
+    ], ids=["frequency_boost", "v6-scenario"])
+    def test_unknown_field_rejected(self, name, value):
         payload = ExperimentConfig(app="tl", packet_count=5).to_json()
-        payload["frequency_boost"] = 2.0
+        payload[name] = value
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_json(payload)
 

@@ -16,13 +16,12 @@ import statistics
 import time
 
 from repro.core.constants import NETBENCH_APPS, RELATIVE_CYCLE_LEVELS
-from repro.core.recovery import ALL_POLICIES, TWO_STRIKE, policy_by_name
+from repro.core.recovery import ALL_POLICIES, TWO_STRIKE
 from repro.cpu.processor import Processor
 from repro.harness import experiment
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES
-from repro.mem.faults import INJECTOR_NAMES, FaultInjector
+from repro.mem.faults import FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.net.trace import make_prefixes
 
@@ -218,69 +217,6 @@ class TestInjectorSweepThroughput:
             f"{lane_speedup['median']:.2f}x < {self.MIN_LANE_SPEEDUP}x gate "
             f"over {self.REPEATS} rounds (lane {seconds['lane']}, "
             f"lane off {seconds['lane_off']})")
-
-
-class TestFaultModelLaneThroughput:
-    """Cold mini-sweep across the whole injector family.
-
-    The mapped injectors (``correlated``, ``tiered``) decline the skip
-    lease -- every access must flow through the hierarchy with its
-    address -- so their honest comparison is against the *reference*
-    per-access sampler, not the geometric fast lane.  The lane records
-    one wall-clock figure per ``INJECTOR_NAMES`` member (three apps x
-    two ``Cr`` settings under the way-disabling policy, 2-way L1) into
-    ``BENCH_throughput.json`` and gates the map lookup's overhead: a
-    weakness evaluation is one row/way index plus a frozenset probe, so
-    a mapped sweep costing more than ``MAX_MAPPED_OVERHEAD``x the
-    reference sweep means the address path regressed.
-    """
-
-    #: CI gate: maximum acceptable mapped-over-reference cost ratio.
-    MAX_MAPPED_OVERHEAD = 1.6
-
-    APPS = ("crc", "route", "nat")
-    CYCLE_TIMES = (1.0, 0.25)
-
-    def test_injector_family_cost(self, once, artifact_dir):
-        packets = int(os.environ.get("REPRO_THROUGHPUT_PACKETS", "60"))
-        policy = policy_by_name("two-strike-waydisable")
-
-        def mini_sweep(injector):
-            started = time.perf_counter()
-            for app in self.APPS:
-                for cycle_time in self.CYCLE_TIMES:
-                    run_experiment(ExperimentConfig(
-                        app=app, packet_count=packets, seed=7,
-                        cycle_time=cycle_time, policy=policy,
-                        fault_scale=30.0, injector=injector,
-                        l1_associativity=2))
-            return time.perf_counter() - started
-
-        times = once(lambda: {name: mini_sweep(name)
-                              for name in INJECTOR_NAMES})
-        overheads = {name: round(times[name] / times["reference"], 3)
-                     for name in INJECTOR_NAMES}
-        report = {
-            "experiment": "fault_model_lane",
-            "packets": packets,
-            "seed": 7,
-            "apps": list(self.APPS),
-            "cycle_times": list(self.CYCLE_TIMES),
-            "policy": policy.name,
-            "seconds": {name: round(times[name], 3)
-                        for name in INJECTOR_NAMES},
-            "overhead_vs_reference": overheads,
-            "gate": self.MAX_MAPPED_OVERHEAD,
-        }
-        print()
-        print(_merge_throughput_section(artifact_dir, "fault_model_lane",
-                                        report))
-        for name in MAPPED_INJECTOR_NAMES:
-            assert overheads[name] <= self.MAX_MAPPED_OVERHEAD, (
-                f"{name} injector overhead regressed: "
-                f"{overheads[name]}x > {self.MAX_MAPPED_OVERHEAD}x gate "
-                f"({times[name]:.1f}s vs reference "
-                f"{times['reference']:.1f}s)")
 
 
 class TestReplayBackendThroughput:

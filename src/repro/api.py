@@ -42,13 +42,8 @@ The surface covers seven layers of use:
   :class:`Tracer` observation hook;
 * **fault sampling** -- :class:`FaultInjector` (the per-access
   reference sampler), :class:`GeometricFaultInjector` (the skip-sampling
-  equivalent behind ``ExperimentConfig(injector="geometric")``), the
-  measured-silicon mapped injectors
-  (:class:`CorrelatedFaultInjector` / :class:`TieredFaultInjector`
-  behind ``ExperimentConfig(injector="correlated" | "tiered")``,
-  their address-indexed maps :class:`CorrelatedFaultMap` /
-  :class:`TieredFaultMap` via :func:`make_fault_map`, and
-  :data:`MAPPED_INJECTOR_NAMES`), and :data:`INJECTOR_NAMES`;
+  equivalent behind ``ExperimentConfig(injector="geometric")``), and
+  :data:`INJECTOR_NAMES`;
 * **verification** -- the oracle subsystem behind ``python -m repro
   check`` (see docs/VERIFICATION.md): :func:`run_check` /
   :class:`OracleReport`, the differential twins (:func:`run_differential`,
@@ -84,18 +79,10 @@ from repro.harness.store import (
     save_results,
 )
 from repro.harness.sweep import SweepPoint, sweep
-from repro.mem.faultmaps import (
-    MAPPED_INJECTOR_NAMES,
-    CorrelatedFaultMap,
-    TieredFaultMap,
-    make_fault_map,
-)
 from repro.mem.faults import (
     INJECTOR_NAMES,
-    CorrelatedFaultInjector,
     FaultInjector,
     GeometricFaultInjector,
-    TieredFaultInjector,
     make_injector,
 )
 from repro.oracle.check import OracleReport, run_check
@@ -123,8 +110,6 @@ __all__ = [
     "BACKEND_NAMES",
     "CODE_VERSION",
     "CampaignEngine",
-    "CorrelatedFaultInjector",
-    "CorrelatedFaultMap",
     "DEFAULT_FAULT_SCALE",
     "Divergence",
     "EXTENSION_POLICIES",
@@ -134,7 +119,6 @@ __all__ = [
     "FuzzReport",
     "GeometricFaultInjector",
     "INJECTOR_NAMES",
-    "MAPPED_INJECTOR_NAMES",
     "MulticoreResult",
     "NO_DETECTION",
     "NULL_TRACER",
@@ -146,8 +130,6 @@ __all__ = [
     "SweepPoint",
     "THREE_STRIKE",
     "TWO_STRIKE",
-    "TieredFaultInjector",
-    "TieredFaultMap",
     "Trace",
     "TraceStore",
     "Tracer",
@@ -157,7 +139,6 @@ __all__ = [
     "config_key",
     "default_engine",
     "load_results",
-    "make_fault_map",
     "make_injector",
     "map_parallel",
     "policy_by_name",

@@ -24,11 +24,6 @@ cost can be *measured* rather than assumed:
 * ``sub_block=True`` -- footnote 2's sub-block alternative: on strike
   exhaustion only the affected words are refetched from L2 instead of
   invalidating the whole line.
-* ``way_disable=True`` -- INTERPLAY-style way retirement: a cache set
-  whose lines keep striking out accumulates *strikeouts*; once
-  ``way_disable_threshold`` strikeouts land in one set, a way of that
-  set is permanently disabled for the run, trading capacity (extra
-  misses) for full-speed operation instead of slowing the whole array.
 
 ``no-detection`` disables protection entirely: faults flow silently into
 the application.
@@ -49,7 +44,6 @@ PROTECTION_CODES = ("none", "parity", "secded")
 #: :class:`~repro.telemetry.events.RecoveryFallback` events.
 FALLBACK_INVALIDATE = "invalidate-line"
 FALLBACK_SUB_BLOCK = "sub-block-refill"
-FALLBACK_WAY_DISABLE = "way-disable"
 
 #: What a protection code makes of one word's corruption, least to most
 #: severe: a read reports its worst word.  ``corrected`` and ``clean``
@@ -72,8 +66,6 @@ class RecoveryPolicy:
     strikes: int
     code: str = "parity"
     sub_block: bool = False
-    way_disable: bool = False
-    way_disable_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.strikes < 0:
@@ -87,15 +79,6 @@ class RecoveryPolicy:
                 "zero strikes if and only if the code is 'none'")
         if self.code == "none" and self.name != "no-detection":
             raise ValueError("an unprotected policy must be 'no-detection'")
-        if self.way_disable_threshold < 1:
-            raise ValueError("way-disable threshold must be positive")
-        if self.way_disable and not self.detects_faults:
-            raise ValueError(
-                "way disabling needs fault detection to count strikeouts")
-        if self.way_disable and self.sub_block:
-            raise ValueError(
-                "way disabling retires on line invalidations; it is "
-                "incompatible with sub-block refill")
 
     @property
     def detects_faults(self) -> bool:
@@ -145,16 +128,13 @@ ONE_STRIKE = RecoveryPolicy("one-strike", strikes=1)
 TWO_STRIKE = RecoveryPolicy("two-strike", strikes=2)
 THREE_STRIKE = RecoveryPolicy("three-strike", strikes=3)
 
-#: Extension policies (Section 4's dismissed/deferred alternatives, plus
-#: INTERPLAY-style way retirement).
+#: Extension policies (Section 4's dismissed/deferred alternatives).
 SECDED = RecoveryPolicy("secded", strikes=2, code="secded")
 TWO_STRIKE_SUB_BLOCK = RecoveryPolicy("two-strike-subblock", strikes=2,
                                       sub_block=True)
-TWO_STRIKE_WAY_DISABLE = RecoveryPolicy("two-strike-waydisable", strikes=2,
-                                        way_disable=True)
 
 ALL_POLICIES = (NO_DETECTION, ONE_STRIKE, TWO_STRIKE, THREE_STRIKE)
-EXTENSION_POLICIES = (SECDED, TWO_STRIKE_SUB_BLOCK, TWO_STRIKE_WAY_DISABLE)
+EXTENSION_POLICIES = (SECDED, TWO_STRIKE_SUB_BLOCK)
 
 _BY_NAME = {policy.name: policy
             for policy in ALL_POLICIES + EXTENSION_POLICIES}

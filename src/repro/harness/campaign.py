@@ -36,7 +36,7 @@ class SingleFaultInjector(FaultInjector):
         self._access_count = 0
         self._bit_rng = random.Random(bit_seed * 2654435761 + 1)
 
-    def draw(self, cycle_time, bits, address=None):
+    def draw(self, cycle_time, bits):
         """See :meth:`FaultInjector.draw`; fires once at the target index."""
         if not self.enabled:
             return None

@@ -31,7 +31,7 @@ printed to stderr whenever caching is active -- CI asserts
 ``simulated=0`` on the second of two identical runs.  Under
 ``--backend replay`` a second stderr line counts the configs that fell
 back to faithful execution, by reason
-(``replay fallbacks: l2-fill= burst= mapped= way-disable= diverged=``),
+(``replay fallbacks: l2-fill= burst= diverged=``),
 summed over every job.
 
 Backends: ``--backend {execute,replay}`` selects how configs become
@@ -301,10 +301,7 @@ def main(argv: "list[str] | None" = None) -> int:
                              "draws per access (matches the golden "
                              "snapshots bit for bit), 'geometric' "
                              "skip-samples inter-fault gaps (same fault "
-                             "law, several times faster), 'correlated' "
-                             "and 'tiered' apply measured-silicon "
-                             "address maps (weak rows/ways, reliability "
-                             "tiers) at the same marginal rate; see "
+                             "law, several times faster; see "
                              "EXPERIMENTS.md for comparability)")
     args = parser.parse_args(argv)
     seeds = tuple(int(part) for part in args.seeds.split(","))

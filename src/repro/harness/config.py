@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.constants import NETBENCH_APPS, RELATIVE_CYCLE_LEVELS
 from repro.core.recovery import NO_DETECTION, RecoveryPolicy, policy_by_name
 from repro.harness.backends import BACKEND_NAMES
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES, validate_fault_map_params
 from repro.mem.faults import INJECTOR_NAMES
 
 #: Where fault injection is active (paper Figures 6/7 study the planes
@@ -39,19 +38,9 @@ class ExperimentConfig:
     Bernoulli sample per access exactly as the seed snapshots were
     frozen, ``"geometric"`` skip-samples the inter-fault gaps (same
     per-access fault law, ~order-of-magnitude cheaper per fault-free
-    access), and the measured-silicon mapped family -- ``"correlated"``
-    (seeded weak-row/way fault maps) and ``"tiered"`` (per-structure
-    reliability tiers) -- makes the law address-dependent while keeping
-    the uniform-address marginal rate matched to the reference at the
-    same ``Cr``.  None are RNG-stream identical, so absolute fault
-    placements differ run to run; see EXPERIMENTS.md for when results
-    are comparable.
-
-    ``fault_map_params`` tunes the mapped injectors' fault-map sampling
-    (see :data:`repro.mem.faultmaps.FAULT_MAP_PARAM_DEFAULTS`); it is
-    stored as a sorted tuple of ``(name, value)`` pairs (a dict is
-    accepted and normalised) and must stay empty for the spatially flat
-    injectors.
+    access).  The two are statistically indistinguishable but not
+    RNG-stream identical, so absolute fault placements differ run to
+    run; see EXPERIMENTS.md for when results are comparable.
 
     ``backend`` selects the execution strategy (see
     :data:`repro.harness.backends.BACKEND_NAMES`): ``"execute"`` runs
@@ -81,7 +70,6 @@ class ExperimentConfig:
     burst_multiplier: float = 1.0
     l2_fill_fault_probability: float = 0.0
     injector: str = "reference"
-    fault_map_params: "tuple[tuple[str, float], ...]" = ()
     workload_kwargs: "dict[str, object]" = field(default_factory=dict)
     backend: str = "execute"
     # Typed as object to keep this module telemetry-agnostic; any value
@@ -121,15 +109,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"injector must be one of {INJECTOR_NAMES}, "
                 f"got {self.injector!r}")
-        raw_params = self.fault_map_params
-        if isinstance(raw_params, dict):
-            raw_params = tuple(raw_params.items())
-        normalised = tuple(sorted(
-            (str(key), float(value)) for key, value in raw_params))
-        object.__setattr__(self, "fault_map_params", normalised)
-        # Unknown keys / out-of-range values / params on a non-mapped
-        # injector all fail here, at config-build time.
-        validate_fault_map_params(self.injector, dict(normalised))
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES}, "
@@ -186,15 +165,11 @@ class ExperimentConfig:
             registered = policy_by_name(self.policy.name)
         except ValueError:
             registered = None
-        policy: "object" = (
-            self.policy.name if registered == self.policy
-            else {"name": self.policy.name,
-                  "strikes": self.policy.strikes,
-                  "code": self.policy.code,
-                  "sub_block": self.policy.sub_block,
-                  "way_disable": self.policy.way_disable,
-                  "way_disable_threshold":
-                      self.policy.way_disable_threshold})
+        policy: "object" = (self.policy.name if registered == self.policy
+                            else {"name": self.policy.name,
+                                  "strikes": self.policy.strikes,
+                                  "code": self.policy.code,
+                                  "sub_block": self.policy.sub_block})
         return {
             "app": self.app,
             "packet_count": self.packet_count,
@@ -214,10 +189,6 @@ class ExperimentConfig:
             "burst_multiplier": self.burst_multiplier,
             "l2_fill_fault_probability": self.l2_fill_fault_probability,
             "injector": self.injector,
-            # Kept as the sorted tuple-of-pairs the dataclass holds:
-            # JSON-serialisable (tuples dump as arrays) *and* hashable,
-            # which the oracle's grouping keys rely on.
-            "fault_map_params": self.fault_map_params,
             "workload_kwargs": dict(self.workload_kwargs),
             "backend": self.backend,
         }
@@ -243,8 +214,7 @@ class ExperimentConfig:
             "quarter_cycle_multiplier", "memory_size", "l1_size_bytes",
             "l1_associativity", "burst_start_probability", "burst_length",
             "burst_multiplier", "l2_fill_fault_probability",
-            "injector", "fault_map_params", "workload_kwargs",
-            "backend"}
+            "injector", "workload_kwargs", "backend"}
         unknown = sorted(set(payload) - field_names)
         if unknown:
             raise ValueError(

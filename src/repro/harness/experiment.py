@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import Environment, FATAL_CATEGORY, NetBenchApp
 from repro.apps.registry import Workload, make_workload
-from repro.core import constants
 from repro.core.dynamic import DynamicFrequencyController
 from repro.core.fault_model import FaultModel
 from repro.core.metrics import (
@@ -40,7 +39,6 @@ from repro.harness.backends import warm_backend
 from repro.harness.config import ExperimentConfig
 from repro.mem.allocator import BumpAllocator, Region
 from repro.mem.errors import MemoryAccessError
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES
 from repro.mem.faults import FaultInjector, make_injector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
@@ -94,7 +92,6 @@ class ExperimentResult:
     regions: "tuple" = ()
     packet_cycles: "tuple[float, ...]" = ()
     error_runs: "tuple[int, ...]" = ()
-    ways_disabled: int = 0
 
     @property
     def mean_error_persistence(self) -> float:
@@ -170,7 +167,6 @@ class ExperimentResult:
                          "size": region.size} for region in self.regions],
             "packet_cycles": list(self.packet_cycles),
             "error_runs": list(self.error_runs),
-            "ways_disabled": self.ways_disabled,
         }
 
     @classmethod
@@ -197,7 +193,6 @@ class ExperimentResult:
             regions=tuple(Region(**region) for region in data["regions"]),
             packet_cycles=tuple(data["packet_cycles"]),
             error_runs=tuple(data["error_runs"]),
-            ways_disabled=int(data.get("ways_disabled", 0)),
         )
 
 
@@ -206,16 +201,6 @@ def build_environment(config: ExperimentConfig, faulty: bool,
     """Construct one simulation stack (processor, hierarchy, allocator)."""
     model = FaultModel.calibrated(
         quarter_cycle_multiplier=config.quarter_cycle_multiplier)
-    injector_kwargs: "dict[str, object]" = {}
-    if config.injector in MAPPED_INJECTOR_NAMES:
-        # The mapped injectors sample their weakness geography over the
-        # L1 array this config builds: rows = sets, ways = associativity.
-        injector_kwargs = dict(
-            rows=config.l1_size_bytes // (constants.L1_LINE_BYTES
-                                          * config.l1_associativity),
-            ways=config.l1_associativity,
-            line_size=constants.L1_LINE_BYTES,
-            fault_map_params=dict(config.fault_map_params))
     injector = make_injector(
         config.injector,
         model=model, seed=config.seed * 1_000_003 + 17,
@@ -223,8 +208,7 @@ def build_environment(config: ExperimentConfig, faulty: bool,
         enabled=faulty,
         burst_start_probability=config.burst_start_probability,
         burst_length=config.burst_length,
-        burst_multiplier=config.burst_multiplier,
-        **injector_kwargs)
+        burst_multiplier=config.burst_multiplier)
     processor = Processor()
     if config.dynamic:
         initial_cycle_time = 1.0
@@ -456,5 +440,4 @@ def run_experiment(config: ExperimentConfig,
         regions=outcome.regions,
         packet_cycles=outcome.packet_cycles,
         error_runs=tuple(error_runs),
-        ways_disabled=outcome.hierarchy.ways_disabled,
     )

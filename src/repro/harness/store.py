@@ -61,7 +61,10 @@ from repro.harness.experiment import ExperimentResult
 #: counted as detected), and replay-priced configs sum ``energy.l1d``
 #: and ``energy.total`` in execution order.
 #: v7: the config JSON schema lost the ``scenario`` field.
-CODE_VERSION = "clumsy-repro-v7"
+#: v8: the config JSON schema lost the ``fault_map_params`` field, the
+#: result schema lost ``ways_disabled``, and unregistered recovery
+#: policies lost their ``way_disable`` and ``way_disable_threshold`` keys.
+CODE_VERSION = "clumsy-repro-v8"
 
 #: Hex digits of the chunk-key digest used in chunk file names.
 _CHUNK_DIGEST_LENGTH = 12

@@ -117,9 +117,6 @@ class Cache:
         #: lane (repro.mem.view) performs its hit-only lookups inline;
         #: treat as read-mostly internals elsewhere.
         self.sets: "list[list[CacheLine]]" = [[] for _ in range(self.num_sets)]
-        #: Ways retired per set by the way-disabling recovery action; a
-        #: set's effective capacity is ``associativity - disabled``.
-        self._disabled_ways: "list[int]" = [0] * self.num_sets
         self.clock = 0
         self._on_fill = on_fill
         self._on_writeback = on_writeback
@@ -182,13 +179,8 @@ class Cache:
 
     def _evict_if_needed(self, set_index: int) -> None:
         ways = self.sets[set_index]
-        if len(ways) < self.associativity - self._disabled_ways[set_index]:
+        if len(ways) < self.associativity:
             return
-        self._evict_one(set_index)
-
-    def _evict_one(self, set_index: int) -> None:
-        """Evict the set's LRU line with normal writeback accounting."""
-        ways = self.sets[set_index]
         victim = min(ways, key=_LINE_LAST_USE)
         ways.remove(victim)
         self.stats.evictions += 1
@@ -315,39 +307,6 @@ class Cache:
         if self._tracer is not None and self._tracer.enabled:
             self._tracer.counters.bump(self._counter_invalidations)
         return True
-
-    def set_index_for(self, address: int) -> int:
-        """The set (array row) holding ``address`` (public helper)."""
-        return self._set_index(self.line_address(address))
-
-    def disable_way(self, set_index: int) -> bool:
-        """Permanently retire one way of ``set_index`` for this run.
-
-        The INTERPLAY-style recovery action: a consistently-faulting way
-        is taken out of service, shrinking the set's effective capacity
-        by one line, in exchange for keeping the array at speed.  Any
-        lines beyond the new capacity are evicted immediately (LRU
-        first) with normal writeback accounting.  The last active way of
-        a set is never retired -- a set must stay able to hold at least
-        one line -- so this returns False (and changes nothing) when the
-        set is already down to one way.
-        """
-        if self._disabled_ways[set_index] >= self.associativity - 1:
-            return False
-        self._disabled_ways[set_index] += 1
-        capacity = self.associativity - self._disabled_ways[set_index]
-        while len(self.sets[set_index]) > capacity:
-            self._evict_one(set_index)
-        return True
-
-    def disabled_ways_in(self, set_index: int) -> int:
-        """Ways retired from ``set_index`` so far."""
-        return self._disabled_ways[set_index]
-
-    @property
-    def disabled_way_count(self) -> int:
-        """Total ways retired across all sets."""
-        return sum(self._disabled_ways)
 
     def flush(self) -> None:
         """Write back every dirty line and empty the cache.

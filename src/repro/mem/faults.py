@@ -25,11 +25,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.fault_model import FaultModel, default_fault_model
-from repro.mem.faultmaps import (MAPPED_INJECTOR_NAMES, FaultMap,
-                                 make_fault_map)
 
 #: Gap value meaning "no fault will ever be scheduled" (probability 0).
 #: Large enough that no realizable run can consume it.
@@ -142,21 +139,11 @@ class FaultInjector:
         self._thresholds[key] = scaled
         return scaled
 
-    #: Spatial-law hook: ``(single, double, triple, address)`` -> the
-    #: per-access probabilities at ``address``.  The reference law is
-    #: spatially flat, so it has none and ``draw`` skips the call; the
-    #: mapped injectors define it with their fault map's weakness factor.
-    #: It costs no RNG draws either way.
-    _site_probabilities: "Callable[..., tuple[float, ...]] | None" = None
-
-    def draw(self, cycle_time: float, bits: int,
-             address: "int | None" = None) -> "FaultEvent | None":
+    def draw(self, cycle_time: float, bits: int) -> "FaultEvent | None":
         """Decide whether this access faults, and which bits flip.
 
-        ``bits`` is the access width in bits (8/16/32); ``address`` is
-        the simulated byte address being accessed (ignored by the
-        spatially flat reference law).  Returns ``None`` for the
-        (overwhelmingly common) fault-free access.
+        ``bits`` is the access width in bits (8/16/32).  Returns ``None``
+        for the (overwhelmingly common) fault-free access.
         """
         if not self.enabled or self.scale == 0.0:
             return None
@@ -174,9 +161,6 @@ class FaultInjector:
                 single = min(single * self.burst_multiplier, 1.0)
                 double = min(double * self.burst_multiplier, 1.0)
                 triple = min(triple * self.burst_multiplier, 1.0)
-        if self._site_probabilities is not None:
-            single, double, triple = self._site_probabilities(
-                single, double, triple, address)
         roll = self._rng.random()
         if roll >= single + double + triple:
             return None
@@ -297,18 +281,12 @@ class GeometricFaultInjector(FaultInjector):
 
     # -- the draw interface -------------------------------------------------
 
-    def draw(self, cycle_time: float, bits: int,
-             address: "int | None" = None) -> "FaultEvent | None":
-        """Reference-compatible draw, served from the skip schedule.
-
-        ``address`` is accepted for interface compatibility; the
-        geometric schedule models the same spatially flat law as the
-        reference injector, so it is ignored.
-        """
+    def draw(self, cycle_time: float, bits: int) -> "FaultEvent | None":
+        """Reference-compatible draw, served from the skip schedule."""
         if not self.enabled or self.scale == 0.0:
             return None
         if self._per_access_mode():
-            return super().draw(cycle_time, bits, address)
+            return super().draw(cycle_time, bits)
         if self._gap_cycle_time != cycle_time:
             self._reschedule(cycle_time)
         if self._gap > 0:
@@ -334,123 +312,23 @@ class GeometricFaultInjector(FaultInjector):
         return FaultEvent(bit_positions=positions)
 
 
-class _MappedFaultInjector(FaultInjector):
-    """Shared machinery of the measured-silicon mapped injector family.
-
-    A mapped injector carries a seeded :class:`~repro.mem.faultmaps.
-    FaultMap` and multiplies its per-address weakness factor into the
-    per-access probabilities *after* burst modulation, so clustered
-    silicon and environmental episodes compose.  The map is sampled
-    from a dedicated RNG (``seed ^ MAP_SEED_SALT``) at construction;
-    the draw RNG stream is untouched by map sampling, and a draw costs
-    the same single uniform as the reference injector.
-
-    Because the law is address-dependent the fault-free fast lane can
-    never be offered a skip lease (a lease is a promise about *future*
-    accesses whose addresses are unknown), so ``supports_skip`` stays
-    False and every access flows through :meth:`FaultInjector.draw`
-    with its address attached.
-    """
-
-    supports_skip = False
-
-    #: Overridden per subclass with the registered injector name.
-    map_kind = ""
-
-    def __init__(
-        self,
-        model: "FaultModel | None" = None,
-        seed: int = 0,
-        scale: float = 1.0,
-        enabled: bool = True,
-        burst_start_probability: float = 0.0,
-        burst_length: int = 0,
-        burst_multiplier: float = 1.0,
-        rows: int = 128,
-        ways: int = 1,
-        line_size: int = 32,
-        fault_map_params: "dict[str, float] | None" = None,
-    ) -> None:
-        super().__init__(
-            model=model, seed=seed, scale=scale, enabled=enabled,
-            burst_start_probability=burst_start_probability,
-            burst_length=burst_length, burst_multiplier=burst_multiplier)
-        self.fault_map: FaultMap = make_fault_map(
-            self.map_kind, seed=seed, rows=rows, ways=ways,
-            line_size=line_size, params=fault_map_params)
-
-    def _site_probabilities(
-        self, single: float, double: float, triple: float,
-        address: "int | None",
-    ) -> "tuple[float, float, float]":
-        if address is None:
-            return single, double, triple
-        weakness = self.fault_map.weakness(address)
-        return (min(single * weakness, 1.0), min(double * weakness, 1.0),
-                min(triple * weakness, 1.0))
-
-
-class CorrelatedFaultInjector(_MappedFaultInjector):
-    """Spatially correlated per-row/per-way injector (``correlated``).
-
-    Models the clustered, address-dependent bit-error geography measured
-    in hardware fault-injection campaigns of undervolted SRAMs: a seeded
-    minority of weak rows faults at a multiple of the mean rate, with a
-    deterministic per-way gradient on top.  The map's mean weakness is
-    exactly 1, so the marginal per-access rate over a uniform address
-    stream still tracks ``FaultModel.access_fault_probability`` at the
-    same ``Cr`` -- only the *spatial* distribution changes.
-    """
-
-    map_kind = "correlated"
-
-
-class TieredFaultInjector(_MappedFaultInjector):
-    """Per-structure reliability-tier injector (``tiered``).
-
-    Oobleck-style tiers: the address space is striped into bands cycling
-    through seed-permuted, mean-normalised tier multipliers, so the
-    route table, NAT state, and packet buffers -- placed at different
-    addresses by the bump allocator -- experience distinct fault laws.
-    """
-
-    map_kind = "tiered"
-
-
 #: Injector name -> implementation class.
 _INJECTOR_CLASSES = {"reference": FaultInjector,
-                     "geometric": GeometricFaultInjector,
-                     "correlated": CorrelatedFaultInjector,
-                     "tiered": TieredFaultInjector}
+                     "geometric": GeometricFaultInjector}
 
 #: Selectable injector implementations (``ExperimentConfig.injector`` /
 #: the CLI's ``--injector``).  ``reference`` is the per-access Bernoulli
 #: sampler the golden snapshots were frozen against; ``geometric`` is the
 #: statistically equivalent skip sampler (see
-#: :class:`GeometricFaultInjector`); ``correlated`` and ``tiered`` are
-#: the measured-silicon mapped family (see
-#: :class:`CorrelatedFaultInjector` / :class:`TieredFaultInjector` and
-#: :mod:`repro.mem.faultmaps`).
+#: :class:`GeometricFaultInjector`).
 INJECTOR_NAMES = tuple(_INJECTOR_CLASSES)
 
 
 def make_injector(name: str, **kwargs) -> FaultInjector:
-    """Construct the injector ``name`` selects (see :data:`INJECTOR_NAMES`).
-
-    The mapped injectors (:data:`~repro.mem.faultmaps.
-    MAPPED_INJECTOR_NAMES`) additionally accept the array geometry
-    (``rows``/``ways``/``line_size``) and ``fault_map_params``;
-    ``build_environment`` derives those from the experiment config.
-    """
+    """Construct the injector ``name`` selects (see :data:`INJECTOR_NAMES`)."""
     try:
         injector_class = _INJECTOR_CLASSES[name]
     except KeyError:
         raise ValueError(
             f"unknown injector {name!r}; choose from {INJECTOR_NAMES}")
-    if name not in MAPPED_INJECTOR_NAMES:
-        for key in ("rows", "ways", "line_size", "fault_map_params"):
-            if key in kwargs:
-                raise ValueError(
-                    f"injector {name!r} takes no {key!r}; geometry and "
-                    f"map parameters apply to {MAPPED_INJECTOR_NAMES}")
     return injector_class(**kwargs)

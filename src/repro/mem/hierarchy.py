@@ -82,7 +82,6 @@ from repro.telemetry.events import (
     FrequencySwitch,
     ParityStrike,
     RecoveryFallback,
-    WayDisabled,
 )
 from repro.telemetry.tracer import NULL_TRACER
 
@@ -174,10 +173,6 @@ class MemoryHierarchy:
         self.undetected_corruptions = 0
         self.recovery_invalidations = 0
         self.sub_block_refills = 0
-        #: Ways retired by the way-disabling recovery action, and the
-        #: per-set strikeout counts driving it (reset on retirement).
-        self.ways_disabled = 0
-        self._way_strikeouts: "dict[int, int]" = {}
         self.scrubbed_words = 0
         self.wild_reads = 0
         self.wild_writes = 0
@@ -426,8 +421,7 @@ class MemoryHierarchy:
             self._charge_l1_access(is_write=False)
             return _garbage_value(address, length), "clean"
         self._charge_l1_access(is_write=False)
-        event = self.injector.draw(self._cycle_time, length * 8,
-                                   address)
+        event = self.injector.draw(self._cycle_time, length * 8)
         if event is None:
             if not self.corruption:
                 return value, "clean"
@@ -498,36 +492,6 @@ class MemoryHierarchy:
                     line_address=self.l1d.line_address(address),
                     action=self.policy.fallback_action, words=0,
                     cr=self._cycle_time))
-            if self.policy.way_disable:
-                self._note_strikeout(address)
-
-    def _note_strikeout(self, address: int) -> None:
-        """One strikeout landed in ``address``'s set; maybe retire a way.
-
-        The way-disabling state machine (INTERPLAY): every strike-budget
-        exhaustion that invalidates a line counts one *strikeout*
-        against the line's set.  When a set accumulates
-        ``policy.way_disable_threshold`` strikeouts, one of its ways is
-        retired for the remainder of the run and the count resets --
-        repeated trouble in the same array row is read as a weak row,
-        and capacity is traded for keeping the cache at speed.  The
-        cache refuses to retire a set's last active way, in which case
-        the strikeouts keep accumulating harmlessly.
-        """
-        set_index = self.l1d.set_index_for(address)
-        strikeouts = self._way_strikeouts.get(set_index, 0) + 1
-        if (strikeouts >= self.policy.way_disable_threshold
-                and self.l1d.disable_way(set_index)):
-            self._way_strikeouts[set_index] = 0
-            self.ways_disabled += 1
-            if self.tracer.enabled:
-                self.tracer.emit(WayDisabled(
-                    cycle=self.processor.cycles, engine=self.engine_id,
-                    set_index=set_index, strikeouts=strikeouts,
-                    total_disabled=self.ways_disabled,
-                    cr=self._cycle_time))
-        else:
-            self._way_strikeouts[set_index] = strikeouts
 
     def read(self, address: int, length: int) -> int:
         """Read ``length`` bytes as a little-endian unsigned integer.
@@ -599,8 +563,7 @@ class MemoryHierarchy:
             self._charge_l1_access(is_write=True)
             return
         self._charge_l1_access(is_write=True)
-        event = self.injector.draw(self._cycle_time, length * 8,
-                                   address)
+        event = self.injector.draw(self._cycle_time, length * 8)
         if event is None:
             if self.corruption:
                 for word in self._covered_words(address, length):

@@ -24,17 +24,6 @@ field.  The path pairs cover the harness' riskiest seams:
     :mod:`repro.harness.stats` machinery: a pooled chi-square on the
     per-access fault proportions and a two-sample Kolmogorov-Smirnov
     test on the per-seed fallibility samples.
-``faultmap``
-    reference (spatially flat) vs the mapped measured-silicon
-    injectors (``correlated``/``tiered``).  The mapped family's
-    contract is *marginal* equivalence: its mean-1 weakness maps leave
-    the per-access fault probability over a uniform address stream
-    equal to the reference law at the same ``Cr``.  The twin drives
-    both injectors directly over a seeded uniform address stream and
-    compares fault counts with a pooled chi-square (end-to-end fault
-    rates are *not* compared -- a real workload hammers a few hot rows,
-    so its effective rate legitimately depends on where the weak rows
-    landed); deterministic workload fields must still match exactly.
 ``replay``
     faithful execution vs the trace-replay backend (the PR 7 seam),
     both contract halves: the *fault-free* variant of the config must
@@ -49,12 +38,9 @@ is the oracle's "these paths agree" verdict.
 
 from __future__ import annotations
 
-import random
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.core.fault_model import FaultModel
 from repro.harness.config import ExperimentConfig
 from repro.harness.engine import CampaignEngine
 from repro.harness.experiment import ExperimentResult
@@ -65,30 +51,10 @@ from repro.harness.stats import (
     ks_two_sample_statistic,
 )
 from repro.harness.store import ResultStore
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES, FaultMap
-from repro.mem.faults import make_injector
 from repro.telemetry.metrics import CounterSet
 
 #: The execution-path pairs ``run_differential`` exercises, in order.
-DIFFERENTIAL_PATHS = ("workers", "cache", "injector", "faultmap",
-                      "replay")
-
-#: Synthetic uniform-address stream driven through the faultmap twin's
-#: injector pair (per mapped injector).
-FAULTMAP_TWIN_ACCESSES = 6000
-#: Fault-rate scale of the synthetic stream: large enough that ~150
-#: faults land per side, so the chi-square has power without needing a
-#: full workload execution.
-FAULTMAP_TWIN_SCALE = 1000.0
-FAULTMAP_TWIN_CYCLE_TIME = 0.25
-#: Synthetic L1 geometry the twin samples its maps over.
-FAULTMAP_TWIN_ROWS = 128
-FAULTMAP_TWIN_WAYS = 2
-#: Address span: one common multiple of the correlated map's cell tile
-#: (line * rows * ways = 8192) and the tiered map's band cycle
-#: (1024 * 3 tiers = 3072), so uniform addresses hit every weakness
-#: cell equally and the mean-1 contract holds exactly.
-FAULTMAP_TWIN_SPAN = 24576
+DIFFERENTIAL_PATHS = ("workers", "cache", "injector", "replay")
 
 #: Significance level of the statistical comparisons.  0.001 keeps the
 #: all-apps quick check's family-wise false-alarm rate well under 1%.
@@ -103,7 +69,7 @@ MIN_FAULTS_FOR_CHI2 = 20
 class Divergence:
     """One field on which two execution paths disagreed."""
 
-    path: str        #: workers/cache/injector/faultmap/replay
+    path: str        #: workers/cache/injector/replay
     config: str      #: config label the twin ran
     field: str       #: result field or statistic name
     kind: str        #: ``exact`` or ``statistical``
@@ -275,101 +241,6 @@ def _injector_twin(config: ExperimentConfig,
     return compare_fault_statistics(reference, geometric)
 
 
-def _faultmap_twin(
-    config: ExperimentConfig,
-    seeds: "tuple[int, ...]",
-    map_factory: "Optional[Callable[[str, FaultMap], FaultMap]]" = None,
-) -> "list[Divergence]":
-    """Reference vs mapped injectors: the marginal-equivalence contract.
-
-    End-to-end, replica runs of each mapped injector must agree with the
-    reference on the deterministic workload fields (``offered_packets``)
-    -- the injector cannot change what traffic was offered.  The fault
-    *law* is compared at the model level: both injectors are driven
-    directly over a seeded uniform address stream spanning whole
-    weakness tiles, where the mean-1 map contract says their fault
-    counts are draws from the same Bernoulli rate, and a pooled 2x2
-    chi-square at :data:`STATISTICAL_ALPHA` checks exactly that.  A map
-    whose weakness mean drifts off 1 (the defect the meta-test seeds
-    through ``map_factory``, which may substitute each freshly sampled
-    map) fires this twin.
-    """
-    engine = CampaignEngine(max_workers=1)
-    divergences: "list[Divergence]" = []
-    reference = engine.run(
-        _replicas(config.with_options(injector="reference"), seeds))
-    for injector_name in MAPPED_INJECTOR_NAMES:
-        mapped_params = (config.fault_map_params
-                         if config.injector == injector_name else ())
-        mapped = engine.run(_replicas(
-            config.with_options(injector=injector_name,
-                                fault_map_params=mapped_params), seeds))
-        label = mapped[0].config.label
-        for ref, spatial in zip(reference, mapped):
-            if ref.offered_packets != spatial.offered_packets:
-                divergences.append(Divergence(
-                    path="faultmap", config=label,
-                    field="offered_packets", kind="exact",
-                    left=str(ref.offered_packets),
-                    right=str(spatial.offered_packets),
-                    detail="the workload is injector-independent"))
-        divergences.extend(_faultmap_marginal_check(
-            config, injector_name, mapped_params, map_factory))
-    return divergences
-
-
-def _faultmap_marginal_check(
-    config: ExperimentConfig,
-    injector_name: str,
-    mapped_params: "tuple[tuple[str, float], ...]",
-    map_factory: "Optional[Callable[[str, FaultMap], FaultMap]]" = None,
-) -> "list[Divergence]":
-    """Pooled chi-square of reference vs mapped over uniform addresses."""
-    model = FaultModel.calibrated(
-        quarter_cycle_multiplier=config.quarter_cycle_multiplier)
-    seed = config.seed * 1_000_003 + 17
-    flat = make_injector("reference", model=model, seed=seed,
-                         scale=FAULTMAP_TWIN_SCALE)
-    mapped = make_injector(
-        injector_name, model=model, seed=seed,
-        scale=FAULTMAP_TWIN_SCALE, rows=FAULTMAP_TWIN_ROWS,
-        ways=FAULTMAP_TWIN_WAYS,
-        fault_map_params=dict(mapped_params))
-    if map_factory is not None:
-        mapped.fault_map = map_factory(injector_name, mapped.fault_map)
-    addresses = random.Random(seed ^ 0xFA17)
-    flat_faults = 0
-    mapped_faults = 0
-    accesses = FAULTMAP_TWIN_ACCESSES
-    for _ in range(accesses):
-        address = addresses.randrange(0, FAULTMAP_TWIN_SPAN, 4)
-        if flat.draw(FAULTMAP_TWIN_CYCLE_TIME, 32, address) is not None:
-            flat_faults += 1
-        if mapped.draw(FAULTMAP_TWIN_CYCLE_TIME, 32, address) is not None:
-            mapped_faults += 1
-    total = flat_faults + mapped_faults
-    if total < MIN_FAULTS_FOR_CHI2 or total >= 2 * accesses:
-        return []
-    pooled = total / (2 * accesses)
-    observed = [flat_faults, accesses - flat_faults,
-                mapped_faults, accesses - mapped_faults]
-    expected = [accesses * pooled, accesses * (1.0 - pooled),
-                accesses * pooled, accesses * (1.0 - pooled)]
-    statistic = chi_square_statistic(observed, expected)
-    critical = chi_square_critical(1, STATISTICAL_ALPHA)
-    if statistic <= critical:
-        return []
-    return [Divergence(
-        path="faultmap", config=f"{config.app}/{injector_name}",
-        field="marginal_fault_rate", kind="statistical",
-        left=f"{flat_faults}/{accesses}",
-        right=f"{mapped_faults}/{accesses}",
-        detail=f"chi2={statistic:.2f} > critical={critical:.2f} at "
-               f"alpha={STATISTICAL_ALPHA}: over uniform addresses the "
-               f"mapped law must match the reference marginal (mean-1 "
-               f"weakness contract)")]
-
-
 def _replay_twin(config: ExperimentConfig,
                  seeds: "tuple[int, ...]") -> "list[Divergence]":
     """Execute vs trace-replay, both halves of the backend contract.
@@ -428,8 +299,6 @@ def run_differential(config: ExperimentConfig,
             divergences.extend(_cache_twin(config, seeds))
         elif path == "injector":
             divergences.extend(_injector_twin(config, seeds))
-        elif path == "faultmap":
-            divergences.extend(_faultmap_twin(config, seeds))
         else:
             divergences.extend(_replay_twin(config, seeds))
     if counters is not None:

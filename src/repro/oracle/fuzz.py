@@ -50,7 +50,7 @@ CONFIG_SPACE: "dict[str, tuple]" = {
     "app": NETBENCH_APPS,
     "cycle_time": tuple(sorted(RELATIVE_CYCLE_LEVELS, reverse=True)),
     "policy": ("no-detection", "one-strike", "two-strike", "three-strike",
-               "secded", "two-strike-subblock", "two-strike-waydisable"),
+               "secded", "two-strike-subblock"),
     "dynamic": (False, True),
     "injector": INJECTOR_NAMES,
     "planes": ("both", "control", "data", "none"),

@@ -15,11 +15,7 @@ relations come straight from the paper:
   comparison methodology);
 * dynamic-frequency runs move only between adjacent ladder levels at
   epoch boundaries, per the X1 = 200% / X2 = 80% scheme of Section 4;
-* the error accounting balances (Section 4.1's fallibility bookkeeping);
-* way-disabling recovery retires at most ``associativity - 1`` ways per
-  set, never retires a way without the detected-fault budget that the
-  strikeout threshold implies, and never fires under policies that do
-  not enable it (the measured-silicon recovery extension).
+* the error accounting balances (Section 4.1's fallibility bookkeeping).
 
 Stochastic relations are tested with a conservative one-sided z-test on
 fault/error proportions (reject beyond ``Z_SLACK`` combined standard
@@ -467,51 +463,3 @@ class ConfigRoundTrip(Invariant):
                 yield self.violation(
                     "config changed identity across to_json/from_json",
                     config=result.config.label)
-
-
-@register_invariant
-class WayCapacityMonotone(Invariant):
-    """Way retirement stays within capacity and fault-budget bounds."""
-
-    id = "way-capacity-monotone"
-    short = "disabled ways bounded by capacity and detected-fault budget"
-    paper = "(measured-silicon extension; INTERPLAY-style way retirement)"
-    per_result = True
-
-    def check(self, results: "list[ExperimentResult]",
-              ) -> "Iterator[Violation]":
-        for result in results:
-            config = result.config
-            label = config.label
-            policy = config.policy
-            disabled = result.ways_disabled
-            if disabled < 0:
-                yield self.violation(
-                    f"negative ways_disabled {disabled}", config=label)
-                continue
-            if not policy.way_disable:
-                if disabled != 0:
-                    yield self.violation(
-                        f"{disabled} ways disabled under policy "
-                        f"{policy.name!r}, which does not enable "
-                        f"way-disabling", config=label)
-                continue
-            num_sets = config.l1_size_bytes // (
-                constants.L1_LINE_BYTES * config.l1_associativity)
-            ceiling = (config.l1_associativity - 1) * num_sets
-            if disabled > ceiling:
-                yield self.violation(
-                    f"{disabled} ways disabled exceeds the "
-                    f"{ceiling}-way ceiling ({num_sets} sets x "
-                    f"{config.l1_associativity - 1} retirable ways)",
-                    config=label)
-            # Each retirement consumed ``threshold`` strikeouts, each of
-            # which required a full ``strikes`` parity-strike escalation.
-            budget = disabled * policy.way_disable_threshold * policy.strikes
-            if disabled > 0 and result.detected_faults < budget:
-                yield self.violation(
-                    f"{disabled} ways disabled but only "
-                    f"{result.detected_faults} detected faults; each "
-                    f"retirement needs {policy.way_disable_threshold} "
-                    f"strikeouts x {policy.strikes} strikes "
-                    f"= {budget} detections minimum", config=label)

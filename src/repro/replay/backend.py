@@ -33,7 +33,7 @@ _TRACE_STORE = TraceStore()
 #: Why a config falls back: the static refusals of
 #: :func:`~repro.replay.replayer.decline_reason`, then ``"diverged"``
 #: (a sampled fault the replayer cannot bound).
-FALLBACK_REASONS = ("l2-fill", "burst", "mapped", "way-disable", "diverged")
+FALLBACK_REASONS = ("l2-fill", "burst", "diverged")
 
 #: Fallbacks (configs the replayer declined) since process start, by
 #: reason -- observability for the perf lane and the oracle.

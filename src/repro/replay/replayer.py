@@ -51,7 +51,6 @@ from repro.core.energy import EnergyModel
 from repro.core.fault_model import FaultModel
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES
 from repro.replay.trace import (
     KIND_L1_FILL,
     KIND_L2_FILL,
@@ -73,33 +72,23 @@ def decline_reason(config: ExperimentConfig) -> "str | None":
     """Why :func:`replay_trace` refuses ``config`` before pricing it.
 
     ``None`` means the config is priced, though a sampled fault may
-    still decline it (the ``"diverged"`` fallback).  The four static
+    still decline it (the ``"diverged"`` fallback).  The two static
     refusals, in the order they are checked:
 
     * ``"l2-fill"``: active L2-fill faults (the execute backend burns
       injector RNG on every fill once the phase enables the injector,
       even at scale 0);
-    * ``"burst"``: burst mode (per-access rate modulation);
-    * ``"mapped"``: a mapped injector (``correlated``/``tiered``: the
-      replayer samples fault *counts* from the flat marginal law, which
-      would silently erase the address-dependence those injectors exist
-      to model -- refusal over approximation);
-    * ``"way-disable"``: a way-disabling recovery policy (retired ways
-      change the miss pattern mid-run, invalidating the recorded trace).
+    * ``"burst"``: burst mode (per-access rate modulation).
     """
     if config.planes == "none":
         return None
     if config.l2_fill_fault_probability > 0:
         return "l2-fill"
     if config.fault_scale == 0:
-        # Nothing faults, so bursts, maps and way retirement are inert.
+        # Nothing faults, so bursts are inert.
         return None
     if config.burst_start_probability > 0:
         return "burst"
-    if config.injector in MAPPED_INJECTOR_NAMES:
-        return "mapped"
-    if config.policy.way_disable:
-        return "way-disable"
     return None
 
 

@@ -31,7 +31,6 @@ from repro.telemetry.events import (
     PacketDone,
     ParityStrike,
     RecoveryFallback,
-    WayDisabled,
     TraceEvent,
     event_type_by_kind,
     from_record,
@@ -59,7 +58,6 @@ __all__ = [
     "PacketDone",
     "ParityStrike",
     "RecoveryFallback",
-    "WayDisabled",
     "TraceEvent",
     "Tracer",
     "epoch_report",

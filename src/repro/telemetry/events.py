@@ -4,7 +4,7 @@ Every event carries a ``cycle`` timestamp (the emitting engine's processor
 cycle count at emission time, so timestamps are monotone per engine), the
 ``engine`` id (0 for single-engine experiments), and -- where it is
 meaningful -- the relative cycle time ``cr`` of the L1 data cache at the
-moment of the event.  Together the eight event types make the paper's
+moment of the event.  Together the seven event types make the paper's
 causal chain inspectable: which access faulted, whether parity caught it,
 how many strikes forced an L2 fallback, and when the clock moved.
 
@@ -88,24 +88,6 @@ class RecoveryFallback(TraceEvent):
 
 
 @dataclass(frozen=True)
-class WayDisabled(TraceEvent):
-    """A consistently-striking L1 cache way was retired for the run.
-
-    Emitted by the way-disabling recovery action (INTERPLAY-style):
-    ``set_index`` accumulated ``strikeouts`` line invalidations, so one
-    of its ways was taken out of service, shrinking that set's capacity.
-    ``total_disabled`` is the hierarchy-wide running count.
-    """
-
-    kind = "way_disabled"
-
-    set_index: int = 0
-    strikeouts: int = 0
-    total_disabled: int = 0
-    cr: float = 1.0
-
-
-@dataclass(frozen=True)
 class FrequencySwitch(TraceEvent):
     """The L1 data-cache clock changed (10-cycle penalty charged).
 
@@ -165,10 +147,10 @@ class FatalError(TraceEvent):
     cr: float = 1.0
 
 
-#: The eight event types, in pipeline order.
+#: The seven event types, in pipeline order.
 EVENT_TYPES: "tuple[type[TraceEvent], ...]" = (
-    FaultInjected, ParityStrike, RecoveryFallback, WayDisabled,
-    FrequencySwitch, EpochBoundary, PacketDone, FatalError)
+    FaultInjected, ParityStrike, RecoveryFallback, FrequencySwitch,
+    EpochBoundary, PacketDone, FatalError)
 
 _BY_KIND = {event_type.kind: event_type for event_type in EVENT_TYPES}
 

@@ -83,9 +83,8 @@ def injectors():
     """Every registered fault-injector name (reference first).
 
     Mirrors :data:`repro.mem.faults.INJECTOR_NAMES` so property tests
-    sweep exactly the set ``make_injector`` accepts -- including the
-    measured-silicon mapped members -- and shrink toward the reference
-    sampler.
+    sweep exactly the set ``make_injector`` accepts and shrink toward
+    the reference sampler.
     """
     return st.sampled_from(INJECTOR_NAMES)
 

@@ -225,49 +225,6 @@ class TestMaintenance:
         assert cache.stats.accesses == before
 
 
-class TestWayDisabling:
-    # size=256, line=32, assoc=2 -> 4 sets; set-0 line addresses are
-    # 0x80 apart.
-    SET0 = (0x000, 0x080, 0x100)
-
-    def test_disable_way_shrinks_capacity_and_writes_back(self):
-        cache, store = make_cache()
-        cache.write(self.SET0[0], b"aaaa")
-        cache.write(self.SET0[1], b"bbbb")
-        assert cache.disable_way(0)
-        assert cache.disabled_ways_in(0) == 1
-        assert cache.disabled_way_count == 1
-        # One line was evicted to honour the new capacity, with a
-        # normal dirty writeback (LRU first -> the older line).
-        assert store.read_block(self.SET0[0], 4) == b"aaaa"
-        assert cache.contains(self.SET0[1])
-        assert not cache.contains(self.SET0[0])
-
-    def test_last_active_way_is_never_retired(self):
-        cache, _ = make_cache(assoc=2)
-        assert cache.disable_way(0)
-        assert not cache.disable_way(0)
-        assert cache.disabled_ways_in(0) == 1
-
-    def test_retired_way_stays_out_of_service(self):
-        cache, _ = make_cache()
-        assert cache.disable_way(0)
-        cache.read(self.SET0[0], 4)
-        cache.read(self.SET0[1], 4)
-        # Capacity is one line: the two addresses evict each other.
-        assert not cache.contains(self.SET0[0])
-        cache.read(self.SET0[0], 4)
-        assert not cache.contains(self.SET0[1])
-
-    def test_other_sets_unaffected(self):
-        cache, _ = make_cache()
-        assert cache.disable_way(0)
-        assert cache.disabled_ways_in(1) == 0
-        cache.read(0x20, 4)
-        cache.read(0xA0, 4)
-        assert cache.contains(0x20) and cache.contains(0xA0)
-
-
 class TestMultiLevel:
     def test_l1_over_l2_inclusion_of_data(self):
         store = BackingStore(1 << 14)

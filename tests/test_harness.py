@@ -30,6 +30,7 @@ class TestConfig:
         dict(app="crc", planes="sideways"),
         dict(app="crc", fault_scale=-1.0),
         dict(app="crc", cycle_time=0.6),
+        dict(app="crc", injector="correlated"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ class ScriptedInjector(FaultInjector):
         super().__init__(seed=0, scale=1.0)
         self._script = list(script)
 
-    def draw(self, cycle_time, bits, address=None):
+    def draw(self, cycle_time, bits):
         if self._script:
             return self._script.pop(0)
         return None

@@ -2,10 +2,8 @@
 
 The geometric injector claims to sample the *same* per-access fault
 process as the reference injector, just factored differently (gap
-sampling instead of per-access Bernoulli draws); the measured-silicon
-mapped injectors (``correlated``, ``tiered``) claim the same *marginal*
-process under uniform addressing while concentrating faults on weak
-sites.  These tests check the claims where they matter:
+sampling instead of per-access Bernoulli draws).  These tests check the
+claim where it matters:
 
 * the fault inter-arrival gap distributions are indistinguishable
   (two-sample Kolmogorov-Smirnov);
@@ -14,14 +12,8 @@ sites.  These tests check the claims where they matter:
 * probability zero schedules no fault, ever (property test);
 * the schedule is a pure function of the seed, and the lease protocol
   (acquire/refund) is invisible to it;
-* mapped injectors cluster faults on their weak sites (chi-square
-  against the flat law rejects decisively) yet keep the uniform-address
-  marginal rate at ``FaultModel.access_fault_probability`` (binomial
-  z-band + KS on gap distributions vs the reference sampler), because
-  every fault map's weakness factors average to exactly 1;
 * every ``INJECTOR_NAMES`` member is seed-deterministic end to end and
-  its config (including ``fault_map_params``) survives the JSON round
-  trip.
+  its config survives the JSON round trip.
 
 All sampling tests use fixed seeds, so they are deterministic: the
 statistics were checked once against their critical values and stay on
@@ -30,8 +22,6 @@ whichever side they landed.
 
 import dataclasses
 import json
-import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -47,12 +37,10 @@ from repro.harness.stats import (
     ks_two_sample_critical,
     ks_two_sample_statistic,
 )
-from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES, make_fault_map
 from repro.mem.faults import (
     INJECTOR_NAMES,
     FaultInjector,
     GeometricFaultInjector,
-    make_injector,
 )
 from tests.strategies import cycle_times, seeds
 
@@ -226,140 +214,8 @@ class TestLeaseProtocol:
         assert GeometricFaultInjector.supports_skip is True
 
 
-# --- measured-silicon mapped-injector battery ------------------------------
-
-#: Map geometry for the battery.  The address span is the least common
-#: multiple of the correlated tile (line * rows * ways = 4096) and the
-#: tiered band cycle (1024-byte bands x 3 tiers = 3072), so uniform
-#: word-aligned addresses over it hit every map site equally often and
-#: the mean-weakness-is-1 contract holds *exactly* over the span.
-MAP_ROWS = 64
-MAP_WAYS = 2
-MAP_LINE = 32
-ADDRESS_SPAN = 12288
-
-
-def make_mapped(name, seed, **params):
-    """A battery-geometry mapped injector."""
-    return make_injector(name, seed=seed, scale=SCALE, rows=MAP_ROWS,
-                         ways=MAP_WAYS, line_size=MAP_LINE,
-                         fault_map_params=params or None)
-
-
-def uniform_addresses(seed):
-    """An endless stream of uniform word-aligned addresses in the span."""
-    rng = random.Random(seed)
-    while True:
-        yield rng.randrange(0, ADDRESS_SPAN, 4)
-
-
-class TestMappedSpatialClustering:
-    """Faults concentrate where the map says the silicon is weak.
-
-    Both tests split the address space into the map's weak and strong
-    cells, drive the injector over uniform addresses, and reject the
-    flat law with a 2-cell chi-square (df=1) at alpha=0.001 -- in the
-    direction of the weak cells.  A flat injector passes the same
-    statistic with overwhelming probability (the battery's critical
-    value is 10.83; a flat sampler's expected statistic is ~1).
-    """
-
-    ACCESSES = 8000
-
-    def collect_cells(self, injector, is_weak):
-        addresses = uniform_addresses(211)
-        counts = {True: [0, 0], False: [0, 0]}  # weak? -> [accesses, faults]
-        for _ in range(self.ACCESSES):
-            address = next(addresses)
-            cell = counts[is_weak(address)]
-            cell[0] += 1
-            cell[1] += injector.draw(CYCLE_TIME, BITS, address) is not None
-        return counts
-
-    def assert_clustered(self, counts):
-        (weak_n, weak_f), (strong_n, strong_f) = counts[True], counts[False]
-        flat_rate = (weak_f + strong_f) / (weak_n + strong_n)
-        statistic = chi_square_statistic(
-            [float(weak_f), float(strong_f)],
-            [weak_n * flat_rate, strong_n * flat_rate])
-        critical = chi_square_critical(degrees=1, alpha=0.001)
-        assert statistic > critical, (
-            f"no spatial clustering: chi2={statistic:.2f} <= {critical}"
-            f" (weak {weak_f}/{weak_n}, strong {strong_f}/{strong_n})")
-        assert weak_f / weak_n > strong_f / strong_n
-
-    def test_correlated_faults_cluster_on_weak_rows(self):
-        injector = make_mapped("correlated", seed=31)
-        weak_rows = injector.fault_map.weak_rows
-        assert weak_rows  # the default weak fraction marks real rows
-        self.assert_clustered(self.collect_cells(
-            injector, lambda a: injector.fault_map.row_of(a) in weak_rows))
-
-    def test_tiered_faults_cluster_on_weak_bands(self):
-        injector = make_mapped("tiered", seed=37)
-        fault_map = injector.fault_map
-        assert any(m > 1.0 for m in fault_map.multipliers)
-        self.assert_clustered(self.collect_cells(
-            injector, lambda a: fault_map.weakness(a) > 1.0))
-
-
-class TestMappedMarginalRate:
-    """The maps redistribute faults; they must not change the total."""
-
-    @pytest.mark.parametrize("name", MAPPED_INJECTOR_NAMES)
-    def test_weakness_mean_is_exactly_one(self, name):
-        injector = make_mapped(name, seed=41)
-        values = [injector.fault_map.weakness(address)
-                  for address in range(0, ADDRESS_SPAN, 4)]
-        assert abs(sum(values) / len(values) - 1.0) < 1e-9
-
-    @pytest.mark.parametrize("name", MAPPED_INJECTOR_NAMES)
-    def test_marginal_rate_matches_model(self, name):
-        # Under uniform addressing each access is Bernoulli(p * w) with
-        # E[w] = 1, so the compound draw is Bernoulli(p) exactly; the
-        # observed count must sit inside a 4-sigma binomial band around
-        # N * access_fault_probability.
-        accesses = 20000
-        p = default_fault_model().access_fault_probability(
-            CYCLE_TIME, scale=SCALE)
-        injector = make_mapped(name, seed=43)
-        addresses = uniform_addresses(223)
-        faults = sum(
-            injector.draw(CYCLE_TIME, BITS, next(addresses)) is not None
-            for _ in range(accesses))
-        sigma = math.sqrt(accesses * p * (1.0 - p))
-        assert abs(faults - accesses * p) < 4.0 * sigma, (
-            f"marginal rate off: {faults} faults vs expected "
-            f"{accesses * p:.1f} +- {4.0 * sigma:.1f}")
-
-    @pytest.mark.parametrize("name", MAPPED_INJECTOR_NAMES)
-    def test_ks_marginal_gaps_match_reference(self, name):
-        # Gap distributions: mapped-over-uniform-addresses vs the flat
-        # reference sampler.  Marginally both are geometric with the
-        # same parameter, so KS at alpha=0.01 must not reject.
-        reference = FaultInjector(seed=47, scale=SCALE)
-        mapped = make_mapped(name, seed=53)
-        addresses = uniform_addresses(227)
-        gaps, gap = [], 0
-        while len(gaps) < 400:
-            if mapped.draw(CYCLE_TIME, BITS, next(addresses)) is None:
-                gap += 1
-            else:
-                gaps.append(float(gap))
-                gap = 0
-        statistic = ks_two_sample_statistic(collect_gaps(reference, 400),
-                                            gaps)
-        critical = ks_two_sample_critical(400, 400, alpha=0.01)
-        assert statistic < critical, (
-            f"marginal gap law differs: D={statistic:.4f} >= "
-            f"{critical:.4f}")
-
-
 class TestInjectorFamilyDeterminism:
     """Seed-determinism + JSON round-trip for every registered injector."""
-
-    PARAMS = {"correlated": {"weak_multiplier": 3.0, "way_spread": 0.1},
-              "tiered": {"band_bytes": 2048}}
 
     @pytest.mark.parametrize("name", INJECTOR_NAMES)
     def test_same_seed_same_experiment(self, name):
@@ -368,32 +224,13 @@ class TestInjectorFamilyDeterminism:
             policy=TWO_STRIKE, fault_scale=50.0, injector=name)
         assert repr(run_experiment(config)) == repr(run_experiment(config))
 
-    @pytest.mark.parametrize("name", MAPPED_INJECTOR_NAMES)
-    def test_same_seed_same_fault_map(self, name):
-        first = make_fault_map(name, seed=59, rows=MAP_ROWS, ways=MAP_WAYS,
-                               line_size=MAP_LINE, params={})
-        second = make_fault_map(name, seed=59, rows=MAP_ROWS, ways=MAP_WAYS,
-                                line_size=MAP_LINE, params={})
-        assert first == second
-
     @pytest.mark.parametrize("name", INJECTOR_NAMES)
     def test_config_json_round_trip(self, name):
-        config = ExperimentConfig(
-            app="tl", injector=name,
-            fault_map_params=self.PARAMS.get(name, {}))
+        config = ExperimentConfig(app="tl", injector=name)
         # Through the wire: dict -> JSON text -> dict -> config.
         rebuilt = ExperimentConfig.from_json(
             json.loads(json.dumps(config.to_json())))
         assert rebuilt == config
-        assert rebuilt.fault_map_params == config.fault_map_params
-
-    def test_infeasible_geometry_refuses_clearly(self):
-        # A 4-row array cannot carry a 4x weak row and keep the strong
-        # complement positive; the sampler refuses rather than silently
-        # clamping the measured-silicon structure (DESIGN.md §13).
-        with pytest.raises(ValueError, match="infeasible"):
-            make_fault_map("correlated", seed=0, rows=4, ways=2,
-                           line_size=MAP_LINE, params={})
 
 
 class TestStatisticHelpers:

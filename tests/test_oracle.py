@@ -152,37 +152,6 @@ class TestDifferential:
                                        paths=("replay",))
         assert any(d.field == "instructions" for d in divergences)
 
-    def test_faultmap_twin_is_a_differential_path(self):
-        assert "faultmap" in DIFFERENTIAL_PATHS
-
-    def test_faultmap_twin_clean_on_small_config(self):
-        counters = CounterSet()
-        divergences = run_differential(make_config(), seeds=(7, 11),
-                                       paths=("faultmap",),
-                                       counters=counters)
-        assert divergences == []
-        assert counters.get("oracle.differential.paths") == 1
-
-    def test_faultmap_twin_catches_defective_map(self):
-        """Falsifiability: a fault map whose weakness mean drifts off 1
-        (here: doubled, so the mapped marginal rate is 2x the model's)
-        is caught by the twin's pooled chi-square."""
-        from repro.oracle.differential import _faultmap_twin
-
-        class DoubledMap:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def weakness(self, address):
-                return 2.0 * self.inner.weakness(address)
-
-        divergences = _faultmap_twin(
-            make_config(), (7,),
-            map_factory=lambda name, fault_map: DoubledMap(fault_map))
-        assert divergences
-        assert all(d.path == "faultmap" for d in divergences)
-        assert any(d.field == "marginal_fault_rate" for d in divergences)
-
 
 class TestInvariants:
     def test_clean_sweep_passes(self, sweep_results):
@@ -237,36 +206,6 @@ class TestInvariants:
         violations = check_invariants([doctored_slow, doctored_fast],
                                       only=("fault-rate-monotone",))
         assert [v.invariant for v in violations] == ["fault-rate-monotone"]
-
-    def test_way_capacity_catches_phantom_retirement(self, single_result):
-        # The baseline policy does not enable way-disabling, so any
-        # non-zero retirement count is a seeded defect.
-        doctored = replace(single_result, ways_disabled=1)
-        violations = check_invariants([doctored],
-                                      only=("way-capacity-monotone",))
-        assert violations
-        assert "does not enable" in violations[0].message
-
-    def test_way_capacity_catches_overbudget_retirement(self, single_result):
-        from repro.core.recovery import policy_by_name
-        config = replace(single_result.config,
-                         policy=policy_by_name("two-strike-waydisable"),
-                         l1_associativity=2)
-        doctored = replace(single_result, config=config,
-                           ways_disabled=10 ** 6)
-        violations = check_invariants([doctored],
-                                      only=("way-capacity-monotone",))
-        assert violations
-        assert any("ceiling" in v.message for v in violations)
-
-    def test_way_capacity_clean_on_live_retirement(self):
-        from repro.core.recovery import policy_by_name
-        result = run_experiment(make_config(
-            app="nat", cycle_time=0.25,
-            policy=policy_by_name("two-strike-waydisable"),
-            l1_associativity=2))
-        assert check_invariants(
-            [result], only=("way-capacity-monotone",)) == []
 
     def test_register_rejects_duplicates_and_empty_ids(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ class SingleBitInjector(FaultInjector):
         self.reads_only = reads_only
         self._next_is_write = False
 
-    def draw(self, cycle_time, bits, address=None):
+    def draw(self, cycle_time, bits):
         if self._rng.random() >= self.probability:
             return None
         return FaultEvent(bit_positions=(self._rng.randrange(bits),))
@@ -122,7 +122,7 @@ class TestParityAbsorbsTransients:
             self.probability = probability
             self.suspended = False
 
-        def draw(self, cycle_time, bits, address=None):
+        def draw(self, cycle_time, bits):
             if self.suspended:
                 return None
             if self._rng.random() >= self.probability:

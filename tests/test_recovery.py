@@ -63,9 +63,11 @@ class TestLookup:
     def test_round_trip_by_name(self, policy):
         assert policy_by_name(policy.name) is policy
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["four-strike",
+                                      "two-strike-waydisable"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ValueError, match="unknown recovery policy"):
-            policy_by_name("four-strike")
+            policy_by_name(name)
 
 
 class TestValidation:

@@ -305,49 +305,8 @@ class TestReplayExactTwin:
                                 backend="replay"),
                     make_config(backend="replay")])
         reasons = fallback_reasons()
-        assert tuple(reasons) == ("l2-fill", "burst", "mapped",
-                                  "way-disable", "diverged")
+        assert tuple(reasons) == ("l2-fill", "burst", "diverged")
         assert fallback_count() == sum(reasons.values())
-
-    @pytest.mark.parametrize("overrides", [
-        {"injector": "correlated"},
-        {"injector": "tiered"},
-        {"policy": "two-strike-waydisable"},
-    ])
-    def test_mapped_and_way_disable_refuse_and_fall_back(
-            self, scratch_store, overrides):
-        # Refuse-or-reprice: the statistical replay lane samples from the
-        # flat marginal law and prices a fixed miss pattern, so mapped
-        # injectors (address-dependent rates) and way-disabling policies
-        # (capacity changes mid-run) must fall back to execution -- never
-        # silently approximate.  The fallback must count *and* match the
-        # execute backend exactly.
-        from repro.core.recovery import policy_by_name
-        reason = "way-disable" if "policy" in overrides else "mapped"
-        if "policy" in overrides:
-            overrides = dict(overrides,
-                             policy=policy_by_name(overrides["policy"]),
-                             l1_associativity=2)
-        config = make_config(backend="replay", **overrides)
-        assert decline_reason(config) == reason
-        trace = scratch_store.get_or_record(
-            config.with_options(backend="execute"))
-        assert replay_trace(trace, config) is None
-        before = fallback_reasons()
-        replayed = run_replay([config])[0]
-        assert _fallbacks_since(before) == {reason: 1}
-        executed = run_experiment(config.with_options(backend="execute"))
-        assert _outcome(replayed) == _outcome(executed)
-
-    @pytest.mark.parametrize("injector", ["correlated", "tiered"])
-    def test_fault_free_mapped_replay_is_exact(self, scratch_store,
-                                               injector):
-        # With faults off the map never perturbs anything, so the
-        # replayer still prices mapped configs exactly.
-        config = _fault_free(injector=injector)
-        executed = run_experiment(config)
-        replayed = run_replay([config.with_options(backend="replay")])[0]
-        assert _outcome(replayed) == _outcome(executed)
 
 
 class TestBackendPlumbing:

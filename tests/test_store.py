@@ -81,7 +81,10 @@ class TestConfigRoundTrip:
         # A v6-schema entry (old cache or save_results corpus): the
         # scenario field is gone and must not be dropped silently.
         ("scenario", None),
-    ], ids=["frequency_boost", "v6-scenario"])
+        # A v7-schema entry: the mapped injectors' fault-map parameters
+        # are gone with them.
+        ("fault_map_params", []),
+    ], ids=["frequency_boost", "v6-scenario", "v7-fault_map_params"])
     def test_unknown_field_rejected(self, name, value):
         payload = ExperimentConfig(app="tl", packet_count=5).to_json()
         payload[name] = value

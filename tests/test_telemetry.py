@@ -20,7 +20,6 @@ from repro.telemetry import (
     ParityStrike,
     RecoveryFallback,
     Tracer,
-    WayDisabled,
     epoch_report,
     event_type_by_kind,
     from_record,
@@ -42,8 +41,6 @@ SAMPLE_EVENTS = [
     RecoveryFallback(cycle=14.0, engine=0, address=0x1040,
                      line_address=0x1040, action="invalidate-line",
                      words=0, cr=0.25),
-    WayDisabled(cycle=15.0, engine=0, set_index=3, strikeouts=2,
-                total_disabled=1, cr=0.25),
     PacketDone(cycle=400.0, engine=0, packet_index=0, packet_cycles=390.0,
                cr=0.25),
     EpochBoundary(cycle=400.0, engine=0, epoch_index=0, packets=1,
@@ -201,25 +198,6 @@ class TestNonPerturbation:
         assert tracer.events, "tracer should have observed the run"
         assert tracer.count(PacketDone) == traced.processed_packets
 
-    def test_way_disabled_events_emitted(self):
-        from repro.core.recovery import policy_by_name
-        clear_golden_cache()
-        tracer = Tracer(epoch_packets=10)
-        result = run_experiment(ExperimentConfig(
-            app="crc", packet_count=100, seed=7, cycle_time=0.25,
-            policy=policy_by_name("two-strike-waydisable"),
-            fault_scale=150.0, l1_size_bytes=256, l1_associativity=2,
-            tracer=tracer))
-        assert result.ways_disabled > 0
-        events = [event for event in tracer.events
-                  if isinstance(event, WayDisabled)]
-        assert len(events) == result.ways_disabled
-        assert [event.total_disabled for event in events] == list(
-            range(1, result.ways_disabled + 1))
-        policy = policy_by_name("two-strike-waydisable")
-        assert all(event.strikeouts >= policy.way_disable_threshold
-                   for event in events)
-
     def test_tracer_excluded_from_config_identity(self):
         plain = ExperimentConfig(**self.CONFIG)
         traced = ExperimentConfig(**self.CONFIG, tracer=Tracer())
@@ -234,12 +212,8 @@ class TestTraceCommand:
             ["route", "--packets", "200", "--out", str(tmp_path)])
         assert exit_code == 0
         events = read_jsonl(tmp_path / "route.events.jsonl")
-        # way_disabled is unreachable here: the default L1 is
-        # direct-mapped and the default policy does not retire ways.
-        # Live emission is covered by test_way_disabled_events_emitted.
         assert {event.kind for event in events} == {
-            event_type.kind for event_type in EVENT_TYPES} - {
-                "way_disabled"}
+            event_type.kind for event_type in EVENT_TYPES}
         cycles = [event.cycle for event in events]
         assert cycles == sorted(cycles), "timestamps must be monotone"
         assert (tmp_path / "route.events.csv").exists()

@@ -56,7 +56,7 @@ examples:
 	$(PYTHON) examples/custom_application.py
 	$(PYTHON) examples/operating_point.py route
 	$(PYTHON) examples/multicore_np.py
-	$(PYTHON) examples/trace_replay.py
+	$(PYTHON) examples/avf_campaign.py
 
 all: lint test check bench
 

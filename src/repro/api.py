@@ -33,8 +33,8 @@ The surface covers seven layers of use:
   trace-replay machinery: :class:`Trace`, :class:`TraceStore`,
   :func:`trace_key`, :func:`record_trace`, :func:`replay_trace`,
   :func:`trace_store` / :func:`set_trace_store`;
-* **sweeps and campaigns** -- :func:`run_experiments`, :func:`sweep`,
-  :class:`CampaignEngine`, :func:`default_engine`, :func:`map_parallel`;
+* **sweeps and campaigns** -- :class:`CampaignEngine`,
+  :func:`default_engine`, :func:`map_parallel`;
 * **persistence** -- :class:`ResultStore`, :func:`config_key`,
   :func:`canonical_json`, :func:`save_results`, :func:`load_results`;
 * **policies and systems** -- the paper's recovery policies,
@@ -69,7 +69,7 @@ from repro.harness.backends import BACKEND_NAMES, register_backend
 from repro.harness.config import DEFAULT_FAULT_SCALE, PLANES, ExperimentConfig
 from repro.harness.engine import CampaignEngine, default_engine, run
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.harness.parallel import map_parallel, run_experiments
+from repro.harness.parallel import map_parallel
 from repro.harness.store import (
     CODE_VERSION,
     ResultStore,
@@ -78,7 +78,6 @@ from repro.harness.store import (
     load_results,
     save_results,
 )
-from repro.harness.sweep import SweepPoint, sweep
 from repro.mem.faults import (
     INJECTOR_NAMES,
     FaultInjector,
@@ -127,7 +126,6 @@ __all__ = [
     "PLANES",
     "RecoveryPolicy",
     "ResultStore",
-    "SweepPoint",
     "THREE_STRIKE",
     "TWO_STRIKE",
     "Trace",
@@ -151,12 +149,10 @@ __all__ = [
     "run_check",
     "run_differential",
     "run_experiment",
-    "run_experiments",
     "run_fuzz",
     "run_multicore",
     "save_results",
     "set_trace_store",
-    "sweep",
     "trace_key",
     "trace_store",
 ]

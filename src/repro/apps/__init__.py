@@ -14,8 +14,7 @@ from repro.apps.base import (
     NetBenchApp,
     copy_packet_to_memory,
 )
-from repro.apps.registry import (Workload, all_workloads, make_workload,
-                                 workload_from_packets)
+from repro.apps.registry import Workload, all_workloads, make_workload
 
 __all__ = [
     "CrcApp",
@@ -33,5 +32,4 @@ __all__ = [
     "all_workloads",
     "copy_packet_to_memory",
     "make_workload",
-    "workload_from_packets",
 ]

@@ -118,82 +118,3 @@ def all_workloads(packet_count: int = 300, seed: int = 7,
     return [make_workload(name, packet_count, seed)
             for name in NETBENCH_APPS]
 
-
-def _extract_http_patterns(packets: "tuple[Packet, ...]",
-                           ) -> "list[tuple[str, int]]":
-    """Unique request-path prefixes from HTTP payloads, with server IPs."""
-    paths = []
-    seen = set()
-    for packet in packets:
-        payload = packet.payload
-        if not payload.startswith(b"GET "):
-            continue
-        end = payload.find(b" ", 4)
-        if end <= 4:
-            continue
-        try:
-            path = payload[4:end].decode("ascii")[:32]
-        except UnicodeDecodeError:
-            continue
-        if path and path not in seen:
-            seen.add(path)
-            paths.append(path)
-    if not paths:
-        paths = ["/"]
-    base = ip_to_int("192.168.1.1")
-    return [(path, base + index) for index, path in enumerate(paths)]
-
-
-def workload_from_packets(
-    name: str,
-    packets: "list[Packet]",
-    seed: int = 7,
-    prefix_count: int = 64,
-) -> Workload:
-    """Build a workload around caller-supplied packets (e.g. a replayed
-    trace from :mod:`repro.net.tracefile`).
-
-    Tables are synthesised to cover the trace: the routing table always
-    contains a default route, so every destination resolves; NAT bindings
-    come from the trace's source addresses; the URL table from the paths
-    found in HTTP payloads; drr's flow population from the largest flow
-    id seen.
-    """
-    packets = tuple(packets)
-    if not packets:
-        raise ValueError("need at least one packet")
-    if name in ("crc", "md5"):
-        factory = {"crc": CrcApp, "md5": Md5App}[name]
-        return Workload(name, packets, lambda env: factory(env))
-    prefixes = make_prefixes(prefix_count, seed)
-    # A caller may size the routing table far beyond the 64-prefix
-    # default (``prefix_count`` in the thousands), so the radix arena
-    # scales with the table instead of assuming the default fits.
-    max_nodes = max(4096, 4 * (prefix_count + 1))
-    if name == "tl":
-        return Workload("tl", packets,
-                        lambda env: TableLookupApp(env, prefixes,
-                                                   max_nodes=max_nodes))
-    if name == "route":
-        return Workload("route", packets,
-                        lambda env: RouteApp(env, prefixes,
-                                             max_nodes=max_nodes))
-    if name == "drr":
-        flow_count = max(packet.flow_id for packet in packets) + 1
-        return Workload("drr", packets,
-                        lambda env: DrrApp(env, prefixes, flow_count))
-    if name == "nat":
-        sources = sorted({packet.source for packet in packets})
-        capacity = 256
-        while capacity - 1 <= len(sources):
-            capacity *= 2
-        return Workload("nat", packets,
-                        lambda env: NatApp(env, prefixes, sources,
-                                           max_nodes=max_nodes,
-                                           table_capacity=capacity))
-    if name == "url":
-        patterns = _extract_http_patterns(packets)
-        return Workload("url", packets,
-                        lambda env: UrlApp(env, prefixes, patterns))
-    raise ValueError(f"unknown application {name!r}; "
-                     f"expected one of {NETBENCH_APPS}")

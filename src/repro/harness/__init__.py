@@ -29,10 +29,9 @@ from repro.harness.experiment import (
     load_workload,
     run_experiment,
 )
-from repro.harness.parallel import map_parallel, run_experiments
+from repro.harness.parallel import map_parallel
 from repro.harness.profile import WorkloadProfile, profile_workload
 from repro.harness.stats import Summary, format_summary, summarize
-from repro.harness.sweep import SweepPoint, sweep
 from repro.harness.vulnerability import (
     RegionVulnerability,
     attribute_faults,
@@ -60,7 +59,6 @@ __all__ = [
     "RegionVulnerability",
     "RunOutcome",
     "Summary",
-    "SweepPoint",
     "Table1Row",
     "WorkloadProfile",
     "attribute_faults",
@@ -79,7 +77,5 @@ __all__ = [
     "profile_workload",
     "render_table1",
     "run_experiment",
-    "run_experiments",
-    "sweep",
     "table1",
 ]

@@ -22,11 +22,8 @@ DEFAULT_FAULT_SCALE = 10.0
 class ExperimentConfig:
     """Everything that determines one golden-vs-faulty comparison run.
 
-    ``control_cycle_time`` optionally runs the control plane at a
-    different (typically safe) clock than the data plane -- the per-task
-    clocking the paper's Section 5.2 discusses and deems unnecessary;
-    ``None`` uses ``cycle_time`` throughout.  The switch at the plane
-    boundary costs the usual 10-cycle penalty.
+    The workload is ``(app, packet_count, seed)``; ``cycle_time`` (or
+    ``dynamic``) clocks the L1 data cache of both planes.
 
     ``tracer`` optionally attaches a :class:`repro.telemetry.Tracer` to
     the *faulty* run (the golden run is never traced).  Tracing is pure
@@ -56,13 +53,10 @@ class ExperimentConfig:
     packet_count: int = 300
     seed: int = 7
     cycle_time: float = 1.0
-    control_cycle_time: "float | None" = None
     policy: RecoveryPolicy = NO_DETECTION
     dynamic: bool = False
     fault_scale: float = DEFAULT_FAULT_SCALE
     planes: str = "both"
-    quarter_cycle_multiplier: float = 100.0
-    memory_size: int = 1 << 22
     l1_size_bytes: int = 4 * 1024
     l1_associativity: int = 1
     burst_start_probability: float = 0.0
@@ -70,7 +64,6 @@ class ExperimentConfig:
     burst_multiplier: float = 1.0
     l2_fill_fault_probability: float = 0.0
     injector: str = "reference"
-    workload_kwargs: "dict[str, object]" = field(default_factory=dict)
     backend: str = "execute"
     # Typed as object to keep this module telemetry-agnostic; any value
     # with the Tracer protocol (emit/finish/enabled) works.
@@ -89,10 +82,6 @@ class ExperimentConfig:
         if not self.dynamic and self.cycle_time not in RELATIVE_CYCLE_LEVELS:
             raise ValueError(
                 f"static cycle time must be one of {RELATIVE_CYCLE_LEVELS}")
-        if (self.control_cycle_time is not None
-                and self.control_cycle_time not in RELATIVE_CYCLE_LEVELS):
-            raise ValueError(
-                f"control cycle time must be one of {RELATIVE_CYCLE_LEVELS}")
         if self.l1_size_bytes < 64 or self.l1_size_bytes & (self.l1_size_bytes - 1):
             raise ValueError("L1 size must be a power of two >= 64")
         if self.l1_associativity < 1:
@@ -118,8 +107,6 @@ class ExperimentConfig:
     def label(self) -> str:
         """Short human-readable identity for reports."""
         clock = "dynamic" if self.dynamic else f"Cr={self.cycle_time}"
-        if self.control_cycle_time is not None:
-            clock += f"/ctl={self.control_cycle_time}"
         label = f"{self.app}/{clock}/{self.policy.name}/{self.planes}"
         if self.injector != "reference":
             label += f"/{self.injector}"
@@ -131,7 +118,7 @@ class ExperimentConfig:
         """The fault-free reference variant of this configuration.
 
         Golden observations depend only on the workload identity (app,
-        packet count, seed, workload kwargs) -- never on the clock,
+        packet count, seed) -- never on the clock,
         policy, or fault scale -- so the golden config drops every other
         axis back to its default.  The injector is always the
         skip-capable ``geometric`` one: a disabled injector draws no
@@ -147,7 +134,7 @@ class ExperimentConfig:
         """
         return ExperimentConfig(
             app=self.app, packet_count=self.packet_count, seed=self.seed,
-            injector="geometric", workload_kwargs=dict(self.workload_kwargs))
+            injector="geometric")
 
     def to_json(self) -> "dict[str, object]":
         """Canonical JSON-safe representation (the store key's substrate).
@@ -157,9 +144,7 @@ class ExperimentConfig:
         serialized as its registry *name* when registered (enums as
         names) and as its field mapping otherwise, and the ``tracer`` is
         excluded -- tracing is pure observation and never part of a
-        config's identity.  ``workload_kwargs`` must hold JSON-safe
-        scalars (they already must be picklable and hashable-sortable
-        for the golden cache).
+        config's identity.
         """
         try:
             registered = policy_by_name(self.policy.name)
@@ -175,13 +160,10 @@ class ExperimentConfig:
             "packet_count": self.packet_count,
             "seed": self.seed,
             "cycle_time": self.cycle_time,
-            "control_cycle_time": self.control_cycle_time,
             "policy": policy,
             "dynamic": self.dynamic,
             "fault_scale": self.fault_scale,
             "planes": self.planes,
-            "quarter_cycle_multiplier": self.quarter_cycle_multiplier,
-            "memory_size": self.memory_size,
             "l1_size_bytes": self.l1_size_bytes,
             "l1_associativity": self.l1_associativity,
             "burst_start_probability": self.burst_start_probability,
@@ -189,7 +171,6 @@ class ExperimentConfig:
             "burst_multiplier": self.burst_multiplier,
             "l2_fill_fault_probability": self.l2_fill_fault_probability,
             "injector": self.injector,
-            "workload_kwargs": dict(self.workload_kwargs),
             "backend": self.backend,
         }
 
@@ -209,12 +190,10 @@ class ExperimentConfig:
         elif isinstance(policy, dict):
             policy = RecoveryPolicy(**policy)
         field_names = {
-            "app", "packet_count", "seed", "cycle_time",
-            "control_cycle_time", "dynamic", "fault_scale", "planes",
-            "quarter_cycle_multiplier", "memory_size", "l1_size_bytes",
-            "l1_associativity", "burst_start_probability", "burst_length",
-            "burst_multiplier", "l2_fill_fault_probability",
-            "injector", "workload_kwargs", "backend"}
+            "app", "packet_count", "seed", "cycle_time", "dynamic",
+            "fault_scale", "planes", "l1_size_bytes", "l1_associativity",
+            "burst_start_probability", "burst_length", "burst_multiplier",
+            "l2_fill_fault_probability", "injector", "backend"}
         unknown = sorted(set(payload) - field_names)
         if unknown:
             raise ValueError(
@@ -222,8 +201,6 @@ class ExperimentConfig:
                 f"was written by an incompatible schema")
         kwargs = {name: payload[name] for name in field_names
                   if name in payload}
-        if "workload_kwargs" in kwargs:
-            kwargs["workload_kwargs"] = dict(kwargs["workload_kwargs"])
         return cls(policy=policy, **kwargs)
 
     def with_options(self, **overrides: object) -> "ExperimentConfig":

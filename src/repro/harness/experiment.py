@@ -21,7 +21,8 @@ This is the reproduction of the paper's Section 5 methodology:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.apps.base import Environment, FATAL_CATEGORY, NetBenchApp
 from repro.apps.registry import Workload, make_workload
@@ -48,6 +49,10 @@ from repro.telemetry.tracer import NULL_TRACER
 #: Simulated address where application allocations begin (0 stays an
 #: invalid "null pointer").
 ALLOCATION_BASE = 0x1000
+
+#: Bytes of simulated main memory behind every run's hierarchy (faulty,
+#: golden and trace recording alike).
+MEMORY_SIZE = 1 << 22
 
 
 @dataclass
@@ -199,32 +204,23 @@ class ExperimentResult:
 def build_environment(config: ExperimentConfig, faulty: bool,
                       ) -> "tuple[Environment, FaultInjector]":
     """Construct one simulation stack (processor, hierarchy, allocator)."""
-    model = FaultModel.calibrated(
-        quarter_cycle_multiplier=config.quarter_cycle_multiplier)
     injector = make_injector(
         config.injector,
-        model=model, seed=config.seed * 1_000_003 + 17,
+        model=FaultModel.calibrated(), seed=config.seed * 1_000_003 + 17,
         scale=config.fault_scale if faulty else 0.0,
         enabled=faulty,
         burst_start_probability=config.burst_start_probability,
         burst_length=config.burst_length,
         burst_multiplier=config.burst_multiplier)
     processor = Processor()
-    if config.dynamic:
-        initial_cycle_time = 1.0
-    elif config.control_cycle_time is not None:
-        initial_cycle_time = config.control_cycle_time
-    else:
-        initial_cycle_time = config.cycle_time
     hierarchy = MemoryHierarchy(
         processor, injector, policy=config.policy,
-        cycle_time=initial_cycle_time, memory_size=config.memory_size,
-        l1_size=config.l1_size_bytes,
+        cycle_time=1.0 if config.dynamic else config.cycle_time,
+        memory_size=MEMORY_SIZE, l1_size=config.l1_size_bytes,
         l1_associativity=config.l1_associativity,
         l2_fill_fault_probability=(config.l2_fill_fault_probability
                                    if faulty else 0.0))
-    allocator = BumpAllocator(ALLOCATION_BASE,
-                              config.memory_size - ALLOCATION_BASE)
+    allocator = BumpAllocator(ALLOCATION_BASE, MEMORY_SIZE - ALLOCATION_BASE)
     env = Environment(processor=processor, hierarchy=hierarchy,
                       view=MemView(hierarchy), allocator=allocator)
     return env, injector
@@ -269,14 +265,6 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
         # also matches the paper's assumption that recovery can fetch the
         # installed tables from the level-2 cache.)
         env.hierarchy.l1d.flush()
-        if (config.control_cycle_time is not None
-                and not config.dynamic):
-            # Per-task clocking (Section 5.2): switch to the data-plane
-            # clock at the plane boundary, paying the change penalty.
-            env.hierarchy.set_cycle_time(config.cycle_time,
-                                         reason="plane-boundary")
-            if env.hierarchy.cycle_time != cycle_history[-1]:
-                cycle_history.append(env.hierarchy.cycle_time)
         injector.enabled = faulty and config.planes in ("data", "both")
         last_detected = env.hierarchy.detected_faults
         for index, packet in enumerate(workload.packets):
@@ -323,13 +311,12 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
 
 
 # Golden observations depend only on the workload identity, never on the
-# clock/policy/scale, so they are cached per (app, packets, seed, kwargs).
+# clock/policy/scale, so they are cached per (app, packets, seed).
 _GOLDEN_CACHE: "dict[tuple, list[dict[str, object]]]" = {}
 
 
 def _golden_key(config: ExperimentConfig) -> tuple:
-    return (config.app, config.packet_count, config.seed,
-            tuple(sorted(config.workload_kwargs.items())))
+    return (config.app, config.packet_count, config.seed)
 
 
 def clear_golden_cache() -> None:
@@ -372,10 +359,29 @@ def golden_observations(workload: Workload, config: ExperimentConfig,
     return _GOLDEN_CACHE[key]
 
 
+def consecutive_error_runs(flags: "Iterable[bool]") -> "tuple[int, ...]":
+    """Lengths of the runs of consecutive erroneous packets.
+
+    The paper's volatile (length ~1) vs nonvolatile (long-lived
+    corruption) error distinction, quantified; both backends reduce
+    their per-packet error flags through this one function.
+    """
+    runs: "list[int]" = []
+    current = 0
+    for flag in flags:
+        if flag:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    if current:
+        runs.append(current)
+    return tuple(runs)
+
+
 def load_workload(config: ExperimentConfig) -> Workload:
     """Build the deterministic workload a config describes."""
-    return make_workload(config.app, config.packet_count, config.seed,
-                         **config.workload_kwargs)
+    return make_workload(config.app, config.packet_count, config.seed)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -407,18 +413,6 @@ def run_experiment(config: ExperimentConfig,
         if packet_has_error:
             erroneous_packets += 1
         error_flags.append(packet_has_error)
-    # Consecutive-error run lengths: the paper's volatile (length ~1) vs
-    # nonvolatile (long-lived corruption) error distinction, quantified.
-    error_runs: "list[int]" = []
-    current_run = 0
-    for flag in error_flags:
-        if flag:
-            current_run += 1
-        elif current_run:
-            error_runs.append(current_run)
-            current_run = 0
-    if current_run:
-        error_runs.append(current_run)
     stats = outcome.hierarchy.l1d.stats
     return ExperimentResult(
         config=config,
@@ -439,5 +433,5 @@ def run_experiment(config: ExperimentConfig,
         fault_sites=tuple(outcome.hierarchy.fault_sites),
         regions=outcome.regions,
         packet_cycles=outcome.packet_cycles,
-        error_runs=tuple(error_runs),
+        error_runs=consecutive_error_runs(error_flags),
     )

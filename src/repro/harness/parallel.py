@@ -1,25 +1,16 @@
-"""Parallel experiment execution across processes.
+"""Parallel execution across processes.
 
 The figure sweeps are embarrassingly parallel -- every configuration is an
-independent simulation.  ``run_experiments`` fans a list of configs across
-worker processes and returns results in input order.  Determinism is
-unchanged: each result depends only on its config, never on scheduling.
-
-The golden-observation cache is per process, so workers re-derive golden
-runs; with one config per (app, seed) that cost is already paid once per
-worker at most.
+independent simulation.  :func:`map_parallel` fans a list of items across
+worker processes and returns results in input order; the campaign engine
+(:class:`repro.harness.engine.CampaignEngine`) runs its chunks through it.
+Determinism is unchanged: each result depends only on its input, never on
+scheduling.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-
-from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ExperimentResult, run_experiment
-
-
-def _worker(config: ExperimentConfig) -> ExperimentResult:
-    return run_experiment(config)
 
 
 def map_parallel(function, items: "list", max_workers: "int | None" = None,
@@ -31,8 +22,8 @@ def map_parallel(function, items: "list", max_workers: "int | None" = None,
     ``max_workers=1`` (or a single item) runs serially in-process --
     same results, no fork overhead; ``None`` lets the executor pick the
     machine's default worker count.  This is the shared fan-out
-    primitive behind :func:`run_experiments`, the campaign engine's
-    chunk execution, and the CLI's ``--max-workers`` flag.
+    primitive behind the campaign engine's chunk execution and the
+    CLI's ``--max-workers`` flag.
     """
     if not items:
         return []
@@ -44,10 +35,3 @@ def map_parallel(function, items: "list", max_workers: "int | None" = None,
             max_workers=max_workers) as executor:
         return list(executor.map(function, items))
 
-
-def run_experiments(
-    configs: "list[ExperimentConfig]",
-    max_workers: "int | None" = None,
-) -> "list[ExperimentResult]":
-    """Run every config, in input order, optionally across processes."""
-    return map_parallel(_worker, configs, max_workers=max_workers)

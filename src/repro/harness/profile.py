@@ -41,7 +41,6 @@ class WorkloadProfile:
 
 
 def profile_workload(app: str, packet_count: int = 300, seed: int = 7,
-                     workload_kwargs: "dict | None" = None,
                      ) -> WorkloadProfile:
     """Measure a workload's profile with one fault-free run.
 
@@ -57,9 +56,8 @@ def profile_workload(app: str, packet_count: int = 300, seed: int = 7,
     :class:`RunOutcome`, which no backend's reduced
     :class:`ExperimentResult` exposes.
     """
-    config = ExperimentConfig(
-        app=app, packet_count=packet_count, seed=seed,
-        workload_kwargs=dict(workload_kwargs or {})).golden()
+    config = ExperimentConfig(app=app, packet_count=packet_count,
+                              seed=seed).golden()
     outcome = execute_workload(load_workload(config), config, faulty=False)
     if outcome.fatal_reason is not None:
         raise RuntimeError(f"profiling run failed: {outcome.fatal_reason}")

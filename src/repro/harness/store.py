@@ -64,7 +64,10 @@ from repro.harness.experiment import ExperimentResult
 #: v8: the config JSON schema lost the ``fault_map_params`` field, the
 #: result schema lost ``ways_disabled``, and unregistered recovery
 #: policies lost their ``way_disable`` and ``way_disable_threshold`` keys.
-CODE_VERSION = "clumsy-repro-v8"
+#: v9: the config JSON schema lost the ``control_cycle_time``,
+#: ``quarter_cycle_multiplier``, ``memory_size`` and ``workload_kwargs``
+#: fields, and trace identity lost the last two.
+CODE_VERSION = "clumsy-repro-v9"
 
 #: Hex digits of the chunk-key digest used in chunk file names.
 _CHUNK_DIGEST_LENGTH = 12

@@ -4,11 +4,13 @@ Runs a single golden-vs-faulty experiment with a :class:`Tracer`
 attached, writes the event stream as JSONL and CSV, and prints the
 per-epoch fault/recovery/frequency report plus a timeline summary.
 
-The defaults are deliberately hostile -- a heavily over-clocked data
-plane (Cr=0.25 at 100x fault scale) behind a safe control clock, with
+``--clock`` takes the x-axis vocabulary of Figures 9-12: a static
+relative cycle time (1.0, 0.75, 0.5, 0.25) or ``dynamic``, the epoch
+controller of Section 4.  The defaults are deliberately hostile -- the
+dynamic controller at 300x fault scale in the data plane, with
 one-strike recovery and occasional undetectable L2-fill corruption --
 so a default run exercises every event type the tracer knows about:
-faults, strikes, fallbacks, the plane-boundary frequency switch, epoch
+faults, strikes, fallbacks, the controller's frequency switch, epoch
 boundaries, per-packet completions, and the eventual fatal error.
 """
 
@@ -18,21 +20,22 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.constants import NETBENCH_APPS, RELATIVE_CYCLE_LEVELS
+from repro.core.constants import NETBENCH_APPS
 from repro.core.recovery import ALL_POLICIES, EXTENSION_POLICIES
 from repro.harness.backends import backend_parent_parser
 from repro.harness.config import PLANES, ExperimentConfig
+from repro.harness.engine import run
+from repro.harness.figures import EDF_SETTINGS
 from repro.telemetry import Tracer, render_trace_report, write_csv, write_jsonl
 
 #: Defaults tuned so ``python -m repro trace route`` shows the full
 #: event vocabulary (see module docstring).
 DEFAULT_PACKETS = 200
-DEFAULT_SEED = 11
-DEFAULT_CR = 0.25
-DEFAULT_CONTROL_CR = 1.0
+DEFAULT_SEED = 6
+DEFAULT_CLOCK = "dynamic"
 DEFAULT_POLICY = "one-strike"
-DEFAULT_FAULT_SCALE = 100.0
-DEFAULT_L2_FILL = 0.03
+DEFAULT_FAULT_SCALE = 300.0
+DEFAULT_L2_FILL = 0.01
 DEFAULT_PLANES = "data"
 DEFAULT_EPOCH = 50
 DEFAULT_OUT = "traces"
@@ -52,20 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"packets to offer (default {DEFAULT_PACKETS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"replica seed (default {DEFAULT_SEED})")
-    parser.add_argument("--cr", type=float, default=DEFAULT_CR,
-                        choices=RELATIVE_CYCLE_LEVELS,
-                        help=f"data-plane relative cycle time "
-                             f"(default {DEFAULT_CR})")
-    parser.add_argument("--control-cr", type=float,
-                        default=DEFAULT_CONTROL_CR,
-                        choices=RELATIVE_CYCLE_LEVELS,
-                        help=f"control-plane relative cycle time "
-                             f"(default {DEFAULT_CONTROL_CR})")
+    parser.add_argument("--clock", default=DEFAULT_CLOCK,
+                        choices=[str(setting) for setting in EDF_SETTINGS],
+                        help=f"relative L1D cycle time, or dynamic for the "
+                             f"epoch controller (default {DEFAULT_CLOCK})")
     parser.add_argument("--policy", default=DEFAULT_POLICY,
                         choices=policy_names,
                         help=f"recovery policy (default {DEFAULT_POLICY})")
-    parser.add_argument("--dynamic", action="store_true",
-                        help="let the dynamic controller pick the clock")
     parser.add_argument("--fault-scale", type=float,
                         default=DEFAULT_FAULT_SCALE,
                         help=f"fault-rate acceleration "
@@ -87,18 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_trace(args: argparse.Namespace) -> int:
     """Execute one traced experiment and export/print its telemetry."""
-    # Imported here so ``--help`` stays fast and the harness package's
-    # import graph stays acyclic at module load.
-    from repro.harness.engine import run
-
     # The CLI namespace is untyped field data, so it flows through the
     # canonical deserialization path (policy resolved by name) and the
     # tracer -- pure observation, never part of config identity -- is
     # attached afterwards.
+    dynamic = args.clock == "dynamic"
     config = ExperimentConfig.from_json({
         "app": args.app, "packet_count": args.packets, "seed": args.seed,
-        "cycle_time": args.cr, "control_cycle_time": args.control_cr,
-        "policy": args.policy, "dynamic": args.dynamic,
+        "cycle_time": 1.0 if dynamic else float(args.clock),
+        "policy": args.policy, "dynamic": dynamic,
         "fault_scale": args.fault_scale, "planes": args.planes,
         "l2_fill_fault_probability": args.l2_fill,
         "backend": args.backend,

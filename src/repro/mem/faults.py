@@ -204,10 +204,9 @@ class GeometricFaultInjector(FaultInjector):
     sampling") for the equivalence argument.
 
     The schedule is keyed to the cycle time it was derived at: whenever
-    the clock changes (the dynamic scheme retunes ``Cr`` mid-run, or the
-    control/data plane boundary switches clocks), the remaining gap is
-    discarded and re-sampled at the new rate -- valid because the
-    geometric distribution is memoryless.  Burst mode modulates the rate
+    the clock changes (the dynamic scheme retunes ``Cr`` mid-run), the
+    remaining gap is discarded and re-sampled at the new rate -- valid
+    because the geometric distribution is memoryless.  Burst mode modulates the rate
     per access, so with bursts configured this class transparently falls
     back to the reference per-access draw and never advertises a
     fault-free stretch.

@@ -240,8 +240,7 @@ class MemoryHierarchy:
         """Switch the L1D clock; charges the 10-cycle penalty on a change.
 
         ``reason`` labels the emitted telemetry event: ``"dynamic"`` for
-        the epoch controller, ``"plane-boundary"`` for Section 5.2
-        per-task clocking, ``"manual"`` otherwise.
+        the epoch controller, ``"manual"`` otherwise.
         """
         if relative_cycle_time <= 0:
             raise ValueError("relative cycle time must be positive")

@@ -12,7 +12,6 @@ from repro.net.ip import (
     verify_checksum,
 )
 from repro.net.packet import Packet
-from repro.net.tracefile import dump_trace, load_trace
 from repro.net.trace import (
     RoutePrefix,
     address_in_prefix,
@@ -32,8 +31,6 @@ __all__ = [
     "Packet",
     "RoutePrefix",
     "address_in_prefix",
-    "dump_trace",
-    "load_trace",
     "flow_trace",
     "http_trace",
     "int_to_ip",

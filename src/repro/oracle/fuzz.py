@@ -57,8 +57,6 @@ CONFIG_SPACE: "dict[str, tuple]" = {
     "fault_scale": (10.0, 0.0, 30.0),
     "seed": (7, 11, 23),
     "packet_count": (25, 40),
-    "control_cycle_time": (None, 1.0, 0.5),
-    "quarter_cycle_multiplier": (100.0, 250.0),
     "burst": ((0.0, 0, 1.0), (0.05, 4, 8.0)),
     "l1_size_bytes": (4096, 1024),
     "l1_associativity": (1, 2),

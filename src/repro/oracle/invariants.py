@@ -165,8 +165,6 @@ def _group_key(config: ExperimentConfig,
     payload = config.to_json()
     for axis in without:
         payload.pop(axis, None)
-    payload["workload_kwargs"] = tuple(
-        sorted(payload.get("workload_kwargs", {}).items()))
     policy = payload.get("policy")
     if isinstance(policy, dict):
         payload["policy"] = tuple(sorted(policy.items()))
@@ -192,22 +190,17 @@ class FaultCurveMonotone(Invariant):
 
     def check(self, results: "list[ExperimentResult]",
               ) -> "Iterator[Violation]":
-        multipliers = sorted({result.config.quarter_cycle_multiplier
-                              for result in results}) or [100.0]
-        for multiplier in multipliers:
-            model = FaultModel.calibrated(
-                quarter_cycle_multiplier=multiplier)
-            previous_cr: "float | None" = None
-            previous_p = 0.0
-            for cr in self.GRID:
-                p = model.single_bit_probability(cr)
-                if previous_cr is not None and p < previous_p:
-                    yield self.violation(
-                        f"P_E({cr}) = {p:.3e} < P_E({previous_cr}) = "
-                        f"{previous_p:.3e} with quarter-cycle multiplier "
-                        f"{multiplier}: the physics chain must be "
-                        f"monotone in over-clocking")
-                previous_cr, previous_p = cr, p
+        model = FaultModel.calibrated()
+        previous_cr: "float | None" = None
+        previous_p = 0.0
+        for cr in self.GRID:
+            p = model.single_bit_probability(cr)
+            if previous_cr is not None and p < previous_p:
+                yield self.violation(
+                    f"P_E({cr}) = {p:.3e} < P_E({previous_cr}) = "
+                    f"{previous_p:.3e}: the physics chain must be "
+                    f"monotone in over-clocking")
+            previous_cr, previous_p = cr, p
 
 
 @register_invariant
@@ -224,7 +217,7 @@ class FaultRateMonotone(Invariant):
         groups: "dict[tuple, list[ExperimentResult]]" = {}
         for result in results:
             config = result.config
-            if config.dynamic or config.control_cycle_time is not None:
+            if config.dynamic:
                 continue
             if config.fault_scale == 0 or config.planes == "none":
                 continue

@@ -46,6 +46,7 @@ from repro.cpu.watchdog import FatalExecutionError
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     ALLOCATION_BASE,
+    MEMORY_SIZE,
     load_workload,
     remember_golden,
 )
@@ -209,19 +210,16 @@ def record_trace(config: ExperimentConfig) -> Trace:
     """
     workload = load_workload(config)
     recorder = TraceRecorder()
-    model = FaultModel.calibrated(
-        quarter_cycle_multiplier=config.quarter_cycle_multiplier)
-    injector = GeometricFaultInjector(model=model,
+    injector = GeometricFaultInjector(model=FaultModel.calibrated(),
                                       seed=config.seed * 1_000_003 + 17,
                                       scale=0.0, enabled=False)
     processor = Processor()
     hierarchy = RecordingHierarchy(
         recorder, processor, injector, policy=NO_DETECTION,
-        cycle_time=1.0, memory_size=config.memory_size,
+        cycle_time=1.0, memory_size=MEMORY_SIZE,
         l1_size=config.l1_size_bytes,
         l1_associativity=config.l1_associativity)
-    allocator = BumpAllocator(ALLOCATION_BASE,
-                              config.memory_size - ALLOCATION_BASE)
+    allocator = BumpAllocator(ALLOCATION_BASE, MEMORY_SIZE - ALLOCATION_BASE)
     env = RecordingEnvironment(
         processor=processor, hierarchy=hierarchy,
         view=RecordingMemView(hierarchy, recorder), allocator=allocator,

@@ -50,7 +50,7 @@ from repro.core.dynamic import DynamicFrequencyController
 from repro.core.energy import EnergyModel
 from repro.core.fault_model import FaultModel
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import ExperimentResult, consecutive_error_runs
 from repro.replay.trace import (
     KIND_L1_FILL,
     KIND_L2_FILL,
@@ -120,45 +120,27 @@ def _chunked(config: ExperimentConfig) -> bool:
             and config.burst_start_probability == 0.0)
 
 
-def _build_segments(trace: Trace, config: ExperimentConfig,
+def _build_segments(trace: Trace, initial_cr: float,
                     changes: "list[tuple[int, float]]",
                     ) -> "tuple[list[tuple[int, int, float]], int, tuple[float, ...]]":
     """Clock segments over the event stream.
 
-    Returns ``(segments, penalties, cycle_history)`` where each segment
-    is ``(start_event, end_event, cr)``; ``penalties`` counts the
-    10-cycle frequency switches the execute backend would pay.
+    ``changes`` lists the dynamic controller's ``(packet, new_cr)``
+    switches (empty for a static clock).  Returns ``(segments,
+    penalties, cycle_history)`` where each segment is ``(start_event,
+    end_event, cr)``; ``penalties`` counts the 10-cycle frequency
+    switches the execute backend would pay.
     """
-    n_events = trace.n_events
-    if config.dynamic:
-        segments = [(0, trace.packet_event_start(0), 1.0)]
-        history = [1.0]
-        cr = 1.0
-        start_packet = 0
-        penalties = 0
-        for boundary, new_cr in changes:
-            segments.append((trace.packet_event_start(start_packet),
-                             trace.packet_event_start(boundary), cr))
-            history.append(new_cr)
-            penalties += 1
-            cr = new_cr
-            start_packet = boundary
-        segments.append((trace.packet_event_start(start_packet),
-                         n_events, cr))
-        return segments, penalties, tuple(history)
-    control = config.control_cycle_time
-    if control is None:
-        return ([(0, n_events, config.cycle_time)], 0,
-                (config.cycle_time,))
-    history = [control]
-    penalties = 0
-    if control != config.cycle_time:
-        penalties = 1
-        history.append(config.cycle_time)
-    boundary = trace.packet_event_start(0)
-    return ([(0, boundary, control),
-             (boundary, n_events, config.cycle_time)],
-            penalties, tuple(history))
+    segments: "list[tuple[int, int, float]]" = []
+    history = [initial_cr]
+    start, cr = 0, initial_cr
+    for boundary, new_cr in changes:
+        end = trace.packet_event_start(boundary)
+        segments.append((start, end, cr))
+        history.append(new_cr)
+        start, cr = end, new_cr
+    segments.append((start, trace.n_events, cr))
+    return segments, len(changes), tuple(history)
 
 
 def _per_event_costs(trace: Trace,
@@ -229,21 +211,6 @@ def _packet_cycles(trace: Trace, delta: np.ndarray) -> np.ndarray:
     return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
 
-def _error_runs(flags: np.ndarray) -> "tuple[int, ...]":
-    """Consecutive-error run lengths, as the experiment runner computes."""
-    runs: "list[int]" = []
-    current = 0
-    for flag in flags:
-        if flag:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return tuple(runs)
-
-
 # -- sampled faults -----------------------------------------------------------
 
 
@@ -306,8 +273,7 @@ class _SampledReplay:
         self.config = config
         self.policy = config.policy
         self.energy_model = EnergyModel()
-        self.fault_model = FaultModel.calibrated(
-            quarter_cycle_multiplier=config.quarter_cycle_multiplier)
+        self.fault_model = FaultModel.calibrated()
         # The execute backend seeds its injector from the same
         # expression, so seed replicas decorrelate identically.
         self.rng = np.random.default_rng(config.seed * 1_000_003 + 17)
@@ -561,20 +527,17 @@ class _SampledReplay:
         n_packets = trace.offered_packets
         control_enabled = config.planes in ("control", "both")
         data_enabled = config.planes in ("data", "both")
-        control_cr = (1.0 if config.dynamic
-                      else (config.control_cycle_time
-                            if config.control_cycle_time is not None
-                            else config.cycle_time))
+        initial_cr = 1.0 if config.dynamic else config.cycle_time
         starts = self.slot_starts
         if control_enabled:
-            for slot in self._sample_slots(0, starts[0], control_cr):
-                self._process_fault(int(slot), control_cr)
+            for slot in self._sample_slots(0, starts[0], initial_cr):
+                self._process_fault(int(slot), initial_cr)
                 if self.diverged:
                     return None
+        changes: "list[tuple[int, float]]" = []
         if config.dynamic:
             controller = DynamicFrequencyController()
-            changes: "list[tuple[int, float]]" = []
-            cr = 1.0
+            cr = initial_cr
             packet_index = 0
             while packet_index < n_packets:
                 block_end = min(packet_index + controller.epoch_packets,
@@ -592,17 +555,14 @@ class _SampledReplay:
                         changes.append((packet + 1, controller.cycle_time))
                         cr = controller.cycle_time
                 packet_index = block_end
-            segments, penalties, history = _build_segments(trace, config,
-                                                           changes)
-        else:
-            if data_enabled:
-                for slot in self._sample_slots(starts[0], starts[n_packets],
-                                               config.cycle_time):
-                    self._process_fault(int(slot), config.cycle_time)
-                    if self.diverged:
-                        return None
-            segments, penalties, history = _build_segments(trace, config,
-                                                           [])
+        elif data_enabled:
+            for slot in self._sample_slots(starts[0], starts[n_packets],
+                                           initial_cr):
+                self._process_fault(int(slot), initial_cr)
+                if self.diverged:
+                    return None
+        segments, penalties, history = _build_segments(trace, initial_cr,
+                                                       changes)
         return self._assemble(segments, penalties, history)
 
     def _assemble(self, segments: "list[tuple[int, int, float]]",
@@ -655,5 +615,5 @@ class _SampledReplay:
             fault_sites=tuple(self.fault_sites),
             regions=trace.regions,
             packet_cycles=tuple(float(value) for value in packet_cycles),
-            error_runs=_error_runs(self.erroneous),
+            error_runs=consecutive_error_runs(self.erroneous),
         )

@@ -7,7 +7,7 @@ writeback, and every abstract-work charge, in execution order, plus
 the packet boundaries and the application's declared static
 (branch-relevant) address ranges.  Because the golden execution is a
 pure function of the workload identity -- app, packet count, seed,
-workload kwargs, and the cache geometry -- one trace serves
+and the cache geometry -- one trace serves
 every (Cr, policy, injector, seed, planes) configuration swept over
 that workload: the replayer re-prices the same event stream under each
 configuration's clock and protection code and layers a sampled fault
@@ -55,10 +55,8 @@ TRACE_IDENTITY_FIELDS = (
     "app",
     "packet_count",
     "seed",
-    "workload_kwargs",
     "l1_size_bytes",
     "l1_associativity",
-    "memory_size",
 )
 
 

@@ -253,7 +253,6 @@ def run_multicore(
     policy: RecoveryPolicy = NO_DETECTION,
     cycle_time: float = 1.0,
     fault_scale: float = 0.0,
-    workload_kwargs: "dict | None" = None,
     tracer: "object | None" = None,
 ) -> MulticoreResult:
     """Golden-vs-faulty comparison of an N-engine system.
@@ -262,8 +261,7 @@ def run_multicore(
     dispatch) with fault injection disabled, so per-engine observations
     align packet for packet.  ``tracer`` observes only the faulty system.
     """
-    workload = make_workload(app, packet_count, seed,
-                             **(workload_kwargs or {}))
+    workload = make_workload(app, packet_count, seed)
 
     def build_and_run(scale: float,
                       system_tracer: "object | None") -> MulticoreSystem:

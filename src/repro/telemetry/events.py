@@ -91,8 +91,8 @@ class RecoveryFallback(TraceEvent):
 class FrequencySwitch(TraceEvent):
     """The L1 data-cache clock changed (10-cycle penalty charged).
 
-    ``reason`` is ``"dynamic"`` (the epoch controller moved),
-    ``"plane-boundary"`` (Section 5.2 per-task clocking), or ``"manual"``.
+    ``reason`` is ``"dynamic"`` (the epoch controller moved) or
+    ``"manual"``.
     """
 
     kind = "frequency_switch"

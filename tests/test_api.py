@@ -22,7 +22,7 @@ class TestFacadeSurface:
     def test_run_layers_covered(self):
         # The four documented layers of use each have their anchors.
         for name in ("ExperimentConfig", "run_experiment",      # single runs
-                     "CampaignEngine", "sweep",                 # campaigns
+                     "CampaignEngine",                          # campaigns
                      "ResultStore", "config_key",               # persistence
                      "policy_by_name", "Tracer"):               # policies
             assert name in api.__all__

@@ -281,63 +281,3 @@ class TestRegistry:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
             make_workload("bgp", packet_count=2)
-
-
-class TestWorkloadFromPackets:
-    def packets(self, count=12, seed=2):
-        from repro.net.trace import make_prefixes, routed_trace
-        return routed_trace(count, make_prefixes(6, seed=seed), seed=seed,
-                            payload_bytes=24)
-
-    @pytest.mark.parametrize("name", NETBENCH_APPS)
-    def test_replayed_trace_runs_everywhere(self, name):
-        from repro.apps.registry import workload_from_packets
-        from repro.net.trace import http_trace, make_prefixes
-        if name == "url":
-            packets = http_trace(10, make_prefixes(4, seed=2), seed=2)
-        else:
-            packets = self.packets()
-        workload = workload_from_packets(name, list(packets))
-        env = build_test_environment()
-        app = workload.build(env)
-        observations = run_app(app, workload.packets)
-        assert len(observations) == len(packets)
-
-    def test_roundtrip_through_trace_file(self, tmp_path):
-        from repro.apps.registry import workload_from_packets
-        from repro.net.tracefile import dump_trace, load_trace
-        packets = self.packets()
-        path = tmp_path / "trace.jsonl"
-        dump_trace(packets, path)
-        workload = workload_from_packets("route", load_trace(path))
-        env = build_test_environment()
-        app = workload.build(env)
-        assert len(run_app(app, workload.packets)) == len(packets)
-
-    def test_nat_capacity_scales_with_sources(self):
-        from repro.apps.registry import workload_from_packets
-        import random
-        rng = random.Random(5)
-        packets = [Packet(source=0x0A000000 | i, destination=rng.getrandbits(32))
-                   for i in range(400)]
-        workload = workload_from_packets("nat", packets)
-        env = build_test_environment()
-        app = workload.build(env)
-        app.run_control_plane()  # would raise if the table were too small
-
-    def test_url_patterns_extracted_from_payloads(self):
-        from repro.apps.registry import workload_from_packets
-        packets = [Packet(source=1, destination=2,
-                          payload=b"GET /alpha/one HTTP/1.0\r\n\r\n"),
-                   Packet(source=1, destination=2,
-                          payload=b"GET /beta/two HTTP/1.0\r\n\r\n")]
-        workload = workload_from_packets("url", packets)
-        env = build_test_environment()
-        app = workload.build(env)
-        patterns = [pattern for pattern, _ in app.patterns]
-        assert "/alpha/one" in patterns and "/beta/two" in patterns
-
-    def test_empty_trace_rejected(self):
-        from repro.apps.registry import workload_from_packets
-        with pytest.raises(ValueError):
-            workload_from_packets("crc", [])

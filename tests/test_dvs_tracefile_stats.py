@@ -1,4 +1,4 @@
-"""DVS comparison model, trace serialisation, and replica statistics."""
+"""DVS comparison model and replica statistics."""
 
 import math
 
@@ -10,8 +10,6 @@ from repro.core.dvs import (
     compare_techniques,
 )
 from repro.harness.stats import Summary, format_summary, summarize
-from repro.net.tracefile import dump_trace, load_trace
-from repro.net.trace import make_prefixes, routed_trace
 
 
 class TestVoltageScalingModel:
@@ -72,43 +70,6 @@ class TestTechniqueComparison:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             compare_techniques(0.0)
-
-
-class TestTraceFiles:
-    def test_roundtrip(self, tmp_path):
-        prefixes = make_prefixes(8, seed=4)
-        packets = routed_trace(25, prefixes, seed=4, payload_bytes=19)
-        path = tmp_path / "trace.jsonl"
-        assert dump_trace(packets, path) == 25
-        assert load_trace(path) == packets
-
-    def test_empty_trace_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            dump_trace([], tmp_path / "x.jsonl")
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "pcap", "version": 1}\n')
-        with pytest.raises(ValueError, match="not a repro-trace"):
-            load_trace(path)
-
-    def test_truncated_trace_detected(self, tmp_path):
-        prefixes = make_prefixes(4, seed=4)
-        packets = routed_trace(5, prefixes, seed=4)
-        path = tmp_path / "trace.jsonl"
-        dump_trace(packets, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="declares 5"):
-            load_trace(path)
-
-    def test_malformed_record_reports_line(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"format": "repro-trace", "version": 1, "packets": 1}\n'
-            '{"src": 1}\n')
-        with pytest.raises(ValueError, match=":2:"):
-            load_trace(path)
 
 
 class TestStats:

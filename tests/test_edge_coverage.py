@@ -59,12 +59,6 @@ class TestRegistryKnobs:
         app = workload.build(build_test_environment())
         assert len(app.prefixes) == 6  # 5 + default route
 
-    def test_workload_kwargs_via_config(self):
-        result = run_experiment(ExperimentConfig(
-            app="crc", packet_count=5, fault_scale=0.0,
-            workload_kwargs={"payload_bytes": 8}))
-        assert result.offered_packets == 5
-
 
 class TestResultAccessors:
     def test_fatal_probability_zero_without_fatal(self):

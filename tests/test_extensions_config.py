@@ -1,49 +1,14 @@
-"""Per-plane clocks, L1 geometry knobs, and route RFC 1812 drop semantics."""
+"""L1 geometry knobs and route RFC 1812 drop semantics."""
 
 import pytest
 
 from repro.apps.app_route import RouteApp
-from repro.core.recovery import TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
 from repro.net.packet import Packet
 from repro.net.trace import RoutePrefix
 from tests.test_apps import PREFIXES, run_app
 from tests.conftest import build_test_environment
-
-
-class TestPerPlaneClocks:
-    def test_control_clock_applied_then_switched(self):
-        result = run_experiment(ExperimentConfig(
-            app="route", packet_count=30, cycle_time=0.25,
-            control_cycle_time=1.0, fault_scale=0.0))
-        assert result.cycle_history == (1.0, 0.25)
-
-    def test_same_clock_means_no_switch(self):
-        result = run_experiment(ExperimentConfig(
-            app="route", packet_count=30, cycle_time=0.5,
-            control_cycle_time=0.5, fault_scale=0.0))
-        assert result.cycle_history == (0.5,)
-
-    def test_safe_control_clock_protects_tables(self):
-        # Section 5.2's per-task clocking: a nominal-clock control plane
-        # takes no control-plane faults even when the data plane runs hot.
-        hot = run_experiment(ExperimentConfig(
-            app="route", packet_count=60, cycle_time=0.25, seed=11,
-            fault_scale=50.0, planes="control"))
-        safe = run_experiment(ExperimentConfig(
-            app="route", packet_count=60, cycle_time=0.25, seed=11,
-            control_cycle_time=1.0, fault_scale=50.0, planes="control"))
-        assert safe.injected_faults <= hot.injected_faults
-
-    def test_invalid_control_clock_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(app="crc", control_cycle_time=0.6)
-
-    def test_label_mentions_control_clock(self):
-        config = ExperimentConfig(app="crc", cycle_time=0.5,
-                                  control_cycle_time=1.0)
-        assert "ctl=1.0" in config.label
 
 
 class TestL1GeometryKnobs:

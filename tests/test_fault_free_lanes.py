@@ -66,13 +66,11 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
 REPLAY_DIGESTS = GOLDEN_DIR / "replay_digests.json"
 
-#: Recorded workloads: every app, one non-default workload, and a cache
-#: geometry other than the default direct-mapped 4 KB L1.
+#: Recorded workloads: every app, and a cache geometry other than the
+#: default direct-mapped 4 KB L1.
 TRACE_WORKLOADS = {
     **{app: ExperimentConfig(app=app, packet_count=30, seed=7)
        for app in NETBENCH_APPS},
-    "nat-64-flows": ExperimentConfig(app="nat", packet_count=30, seed=7,
-                                     workload_kwargs={"flow_count": 64}),
     "crc-2way-8k": ExperimentConfig(app="crc", packet_count=30, seed=7,
                                     l1_associativity=2, l1_size_bytes=8192),
 }
@@ -329,17 +327,19 @@ class TestAccessorLaneTwins:
 def faulted_block() -> "list[ExperimentConfig]":
     """Every policy on every app where faults land, on ``geometric``.
 
-    One extra config per app clocks its control plane at Cr 1.0: the
-    plane-boundary clock switch refunds a live lease.
+    One extra config per app runs the dynamic controller across its
+    100-packet epoch: its clock switch refunds a live lease.
     """
     def config(app, **options):
-        return ExperimentConfig(app=app, packet_count=40, seed=7,
-                                cycle_time=0.25, fault_scale=200.0,
-                                injector="geometric", **options)
+        return ExperimentConfig(app=app, seed=7, injector="geometric",
+                                **options)
 
-    return ([config(app, policy=policy) for app in NETBENCH_APPS
+    return ([config(app, packet_count=40, cycle_time=0.25,
+                    fault_scale=200.0, policy=policy)
+             for app in NETBENCH_APPS
              for policy in ALL_POLICIES + EXTENSION_POLICIES]
-            + [config(app, policy=TWO_STRIKE, control_cycle_time=1.0)
+            + [config(app, packet_count=110, dynamic=True, fault_scale=20.0,
+                      policy=TWO_STRIKE)
                for app in NETBENCH_APPS])
 
 
@@ -348,7 +348,19 @@ class TestFaultedRunsOnTheFastLane:
 
     def test_faulted_block_matches_the_slow_path(self, monkeypatch):
         block = faulted_block()
+        leases_at_switch: "list[int]" = []
+        set_cycle_time = MemoryHierarchy.set_cycle_time
+
+        def recording_switch(hierarchy, cycle_time, *args, **kwargs):
+            if cycle_time != hierarchy.cycle_time:
+                leases_at_switch.append(hierarchy.skip_lease)
+            set_cycle_time(hierarchy, cycle_time, *args, **kwargs)
+
+        monkeypatch.setattr(MemoryHierarchy, "set_cycle_time",
+                            recording_switch)
         fast = [run_experiment(config).to_json() for config in block]
+        monkeypatch.setattr(MemoryHierarchy, "set_cycle_time",
+                            set_cycle_time)
         make_injector = experiment.make_injector
 
         def slow_lane(*args, **kwargs):
@@ -366,8 +378,9 @@ class TestFaultedRunsOnTheFastLane:
                                                 abs=0.0), config
         assert sum(result["injected_faults"] for result in fast) > 0
         assert sum(result["detected_faults"] for result in fast) > 0
-        plane_boundary = fast[-len(NETBENCH_APPS):]
-        assert all(result["injected_faults"] for result in plane_boundary)
+        dynamic = fast[-len(NETBENCH_APPS):]
+        assert all(len(result["cycle_history"]) > 1 for result in dynamic)
+        assert any(leases_at_switch)
 
     def test_faulted_run_rides_the_lane(self):
         config = faulted_block()[0]

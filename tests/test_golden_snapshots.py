@@ -56,13 +56,12 @@ def test_snapshots_exist_for_every_analytic_figure():
 
 
 def test_reference_metrics_survived_the_faultmap_refactor():
-    # ``pre_faultmap_metrics.json`` froze each default-config run's
-    # metric tail (offered_packets through error_runs) *before* the
-    # measured-silicon injectors landed.  The refactor added repr fields
-    # (``fault_map_params`` in the config, ``ways_disabled`` in the
-    # result) but must not have moved a single byte of the reference
-    # numbers: the ``_site_probabilities`` hook is identity for the
-    # reference injector and consumes no RNG draws.
+    # ``pre_faultmap_metrics.json`` freezes the metric tail of each
+    # default-config run, from ``offered_packets`` through
+    # ``error_runs``, as it stood before any config field was added or
+    # dropped.  Every ``result_<app>.txt`` snapshot must still contain
+    # its fragment byte for byte: a change to the config's fields may
+    # move the repr's head, never a reference number.
     frozen = json.loads((GOLDEN_DIR / "pre_faultmap_metrics.json")
                         .read_text())
     assert set(frozen) == set(NETBENCH_APPS)

@@ -1,17 +1,18 @@
 """Experiment harness: config validation, runner semantics, reports."""
 
+import numpy as np
 import pytest
 
 from repro.core.recovery import NO_DETECTION, TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     clear_golden_cache,
+    consecutive_error_runs,
     golden_observations,
     load_workload,
     run_experiment,
 )
 from repro.harness.report import format_value, render_series, render_table
-from repro.harness.sweep import sweep
 
 
 class TestConfig:
@@ -138,25 +139,14 @@ class TestRunner:
         assert result.error_probability("fatal") == result.fatal_probability
 
 
-class TestSweep:
-    def test_cartesian_axes(self):
-        points = sweep(ExperimentConfig(app="tl", packet_count=5),
-                       cycle_times=(1.0, 0.5),
-                       policies=(NO_DETECTION, TWO_STRIKE),
-                       seeds=(1, 2))
-        assert len(points) == 4
-        assert all(len(point.results) == 2 for point in points)
-
-    def test_point_statistics(self):
-        [point] = sweep(ExperimentConfig(app="tl", packet_count=5),
-                        cycle_times=(1.0,), seeds=(1, 2, 3))
-        assert point.mean_fallibility >= 1.0
-        assert point.mean_product > 0
-        assert point.fatal_runs == 0
-
-    def test_empty_seed_axis_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(ExperimentConfig(app="tl", packet_count=5), seeds=())
+class TestConsecutiveErrorRuns:
+    def test_run_lengths(self):
+        flags = [True, True, False, True, False, False, True]
+        assert consecutive_error_runs(flags) == (2, 1, 1)
+        assert consecutive_error_runs([False, False]) == ()
+        # The replayer reduces its per-packet numpy flags through it too.
+        assert consecutive_error_runs(
+            np.array([False, True, True, True])) == (3,)
 
 
 class TestReport:

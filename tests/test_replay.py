@@ -236,9 +236,9 @@ class TestReplayExactTwin:
     @pytest.mark.parametrize("overrides", [
         {},
         {"injector": "geometric"},
-        {"control_cycle_time": 1.0},
         {"dynamic": True, "cycle_time": 1.0},
         {"app": "crc", "cycle_time": 0.25},
+        {"l1_size_bytes": 8192, "l1_associativity": 2},
     ])
     def test_fault_free_replay_matches_execute(self, scratch_store,
                                                overrides):

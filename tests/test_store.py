@@ -24,7 +24,7 @@ from repro.harness.store import (
 )
 
 #: Configs spanning every serialization axis: each app, every policy
-#: family, dynamic and per-task clocking, bursts, and L2-fill faults.
+#: family, dynamic clocking, L1 geometry, bursts, and L2-fill faults.
 ROUND_TRIP_CONFIGS = [
     ExperimentConfig(app="route", packet_count=30, seed=3, cycle_time=0.5,
                      policy=TWO_STRIKE, fault_scale=20.0),
@@ -35,12 +35,13 @@ ROUND_TRIP_CONFIGS = [
     ExperimentConfig(app="md5", packet_count=15, seed=11, cycle_time=0.75,
                      policy=SECDED, l2_fill_fault_probability=0.01),
     ExperimentConfig(app="tl", packet_count=20, seed=13, cycle_time=0.5,
-                     control_cycle_time=1.0, policy=TWO_STRIKE_SUB_BLOCK),
+                     policy=TWO_STRIKE_SUB_BLOCK, l1_size_bytes=8192,
+                     l1_associativity=2),
     ExperimentConfig(app="drr", packet_count=20, seed=17, cycle_time=0.25,
                      burst_start_probability=0.05, burst_length=4,
                      burst_multiplier=3.0),
     ExperimentConfig(app="url", packet_count=20, seed=19, cycle_time=1.0,
-                     workload_kwargs={"path_count": 12}),
+                     injector="geometric", backend="replay"),
 ]
 
 
@@ -84,12 +85,34 @@ class TestConfigRoundTrip:
         # A v7-schema entry: the mapped injectors' fault-map parameters
         # are gone with them.
         ("fault_map_params", []),
-    ], ids=["frequency_boost", "v6-scenario", "v7-fault_map_params"])
+        # v8-schema entries: per-task clocks, the fault-law anchor, the
+        # memory size and workload knobs are no longer config axes.
+        ("control_cycle_time", None),
+        ("quarter_cycle_multiplier", 100.0),
+        ("memory_size", 1 << 22),
+        ("workload_kwargs", {}),
+    ], ids=["frequency_boost", "v6-scenario", "v7-fault_map_params",
+            "v8-control_cycle_time", "v8-quarter_cycle_multiplier",
+            "v8-memory_size", "v8-workload_kwargs"])
     def test_unknown_field_rejected(self, name, value):
         payload = ExperimentConfig(app="tl", packet_count=5).to_json()
         payload[name] = value
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_json(payload)
+
+    def test_json_names_every_field_but_the_tracer(self):
+        config = ExperimentConfig(app="tl", packet_count=5)
+        fields = [name for name in config.__dataclass_fields__
+                  if name != "tracer"]
+        assert list(config.to_json()) == fields
+
+    def test_hashable_by_identity(self):
+        class FakeTracer:
+            enabled = True
+        config = ROUND_TRIP_CONFIGS[0]
+        clone = ExperimentConfig.from_json(config.to_json())
+        assert hash(clone) == hash(config)
+        assert {config: 1}[clone.with_tracer(FakeTracer())] == 1
 
     def test_validation_still_applies(self):
         payload = ExperimentConfig(app="tl", packet_count=5).to_json()
@@ -100,12 +123,10 @@ class TestConfigRoundTrip:
     def test_golden_keeps_workload_identity_only(self):
         config = ExperimentConfig(
             app="url", packet_count=30, seed=9, cycle_time=0.25,
-            policy=TWO_STRIKE, fault_scale=50.0,
-            workload_kwargs={"path_count": 12})
+            policy=TWO_STRIKE, fault_scale=50.0)
         golden = config.golden()
         assert (golden.app, golden.packet_count, golden.seed) == (
             "url", 30, 9)
-        assert golden.workload_kwargs == {"path_count": 12}
         assert golden.cycle_time == 1.0
         assert golden.policy == NO_DETECTION
 

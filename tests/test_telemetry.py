@@ -33,7 +33,7 @@ from repro.telemetry.events import EVENT_TYPES
 
 SAMPLE_EVENTS = [
     FrequencySwitch(cycle=10.0, engine=0, previous_cr=1.0, new_cr=0.25,
-                    reason="plane-boundary"),
+                    reason="dynamic"),
     FaultInjected(cycle=12.5, engine=0, address=0x1040, is_write=False,
                   flip_count=2, bit_positions=(3, 17), cr=0.25),
     ParityStrike(cycle=13.0, engine=0, address=0x1040, line_address=0x1040,

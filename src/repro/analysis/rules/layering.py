@@ -41,10 +41,10 @@ LAYER_DAG: "dict[str, frozenset[str]]" = {
     "harness": frozenset({"net", "mem", "cpu", "core", "apps",
                           "telemetry", "system", "analysis", "util"}),
     # The replay backend records through the faithful harness and
-    # re-prices traces above it.  The harness must never import it back
-    # (the backend registry crosses the boundary by module *name*, via
-    # importlib), so replay sits strictly above harness and below the
-    # oracle that verifies it.
+    # re-prices traces above it.  The harness must never import it back:
+    # its one crossing is harness.experiment.replay_backend(), a single
+    # importlib call by module *name*, so replay sits strictly above
+    # harness and below the oracle that verifies it.
     "replay": frozenset({"net", "mem", "cpu", "core", "apps", "harness",
                          "util"}),
     # The verification oracle treats the simulator as the system under

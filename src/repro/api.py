@@ -11,32 +11,37 @@ Internal module paths (``repro.harness.experiment``,
 code that wants stability across versions should import from
 ``repro.api``::
 
-    from repro.api import CampaignEngine, ExperimentConfig, ResultStore, run
+    from repro.api import (
+        CampaignEngine, ExperimentConfig, ResultStore, Tracer,
+        run_experiment)
 
-    result = run(ExperimentConfig(app="route", cycle_time=0.5),
-                 backend="replay")
+    tracer = Tracer()
+    result = run_experiment(ExperimentConfig(app="route", cycle_time=0.5),
+                            tracer=tracer)
     engine = CampaignEngine(store=ResultStore(".repro-cache"))
-    results = engine.run([ExperimentConfig(app="route", cycle_time=0.5)])
+    results = engine.run([ExperimentConfig(app="route", cycle_time=0.5,
+                                           backend="replay")])
 
-The surface covers seven layers of use:
+A config becomes a result in one of two ways: :func:`run_experiment`
+(one faithful, uncached run, and the only place a tracer or a scripted
+injector attaches) or :meth:`CampaignEngine.run` (the cached batch path,
+which honours ``config.backend``).  The surface covers seven layers of
+use:
 
-* **single runs** -- :func:`run` (the unified entry point: pick a
-  backend, optionally attach a tracer or engine), its config/result
-  types :class:`ExperimentConfig` (``with_options`` for keyword-only
+* **single runs** -- :func:`run_experiment`, its config/result types
+  :class:`ExperimentConfig` (``with_options`` for keyword-only
   derivation) and :class:`ExperimentResult` (JSON round-trip via
-  ``to_json``/``from_json``), and the legacy alias
-  :func:`run_experiment` (the ``execute`` backend, directly);
+  ``to_json``/``from_json``);
 * **execution backends** -- :data:`BACKEND_NAMES` (``"execute"`` runs
   the faithful kernel, ``"replay"`` re-prices a recorded trace; select
-  via ``run(config, backend=...)`` or
-  ``ExperimentConfig(backend=...)``), :func:`register_backend`, and the
-  trace-replay machinery: :class:`Trace`, :class:`TraceStore`,
-  :func:`trace_key`, :func:`record_trace`, :func:`replay_trace`,
-  :func:`trace_store` / :func:`set_trace_store`;
+  via ``ExperimentConfig(backend=...)``) and the trace-replay
+  machinery: :class:`Trace`, :class:`TraceStore`, :func:`trace_key`,
+  :func:`record_trace`, :func:`replay_trace`, :func:`trace_store` /
+  :func:`set_trace_store`;
 * **sweeps and campaigns** -- :class:`CampaignEngine`,
   :func:`default_engine`, :func:`map_parallel`;
 * **persistence** -- :class:`ResultStore`, :func:`config_key`,
-  :func:`canonical_json`, :func:`save_results`, :func:`load_results`;
+  :func:`canonical_json`;
 * **policies and systems** -- the paper's recovery policies,
   :func:`policy_by_name`, :func:`run_multicore`, and the
   :class:`Tracer` observation hook;
@@ -65,9 +70,13 @@ from repro.core.recovery import (
     TWO_STRIKE,
     policy_by_name,
 )
-from repro.harness.backends import BACKEND_NAMES, register_backend
-from repro.harness.config import DEFAULT_FAULT_SCALE, PLANES, ExperimentConfig
-from repro.harness.engine import CampaignEngine, default_engine, run
+from repro.harness.config import (
+    BACKEND_NAMES,
+    DEFAULT_FAULT_SCALE,
+    PLANES,
+    ExperimentConfig,
+)
+from repro.harness.engine import CampaignEngine, default_engine
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.parallel import map_parallel
 from repro.harness.store import (
@@ -75,8 +84,6 @@ from repro.harness.store import (
     ResultStore,
     canonical_json,
     config_key,
-    load_results,
-    save_results,
 )
 from repro.mem.faults import (
     INJECTOR_NAMES,
@@ -136,22 +143,18 @@ __all__ = [
     "check_invariants",
     "config_key",
     "default_engine",
-    "load_results",
     "make_injector",
     "map_parallel",
     "policy_by_name",
     "record_trace",
-    "register_backend",
     "register_invariant",
     "replay_corpus_entry",
     "replay_trace",
-    "run",
     "run_check",
     "run_differential",
     "run_experiment",
     "run_fuzz",
     "run_multicore",
-    "save_results",
     "set_trace_store",
     "trace_key",
     "trace_store",

@@ -14,7 +14,7 @@ from repro.apps.base import (
     NetBenchApp,
     copy_packet_to_memory,
 )
-from repro.apps.registry import Workload, all_workloads, make_workload
+from repro.apps.registry import Workload, make_workload
 
 __all__ = [
     "CrcApp",
@@ -29,7 +29,6 @@ __all__ = [
     "TableLookupApp",
     "UrlApp",
     "Workload",
-    "all_workloads",
     "copy_packet_to_memory",
     "make_workload",
 ]

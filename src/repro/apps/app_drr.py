@@ -16,7 +16,12 @@ information read for the packet) map to ``route_entry``, ``radix_path``,
 from __future__ import annotations
 
 from repro.apps.base import Environment, NetBenchApp
-from repro.apps.radix import FNV_OFFSET, RadixTree, fnv_step
+from repro.apps.radix import (
+    APP_TREE_NODES,
+    FNV_OFFSET,
+    RadixTree,
+    fnv_step,
+)
 from repro.apps.app_tl import read_destination
 from repro.net.ip import IPV4_HEADER_BYTES
 from repro.net.packet import Packet
@@ -50,8 +55,7 @@ class DrrApp(NetBenchApp):
     categories = ("route_entry", "deficit_value", "deficit_read")
 
     def __init__(self, env: Environment, prefixes: "list[RoutePrefix]",
-                 flow_count: int, max_nodes: int = 4096,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
+                 flow_count: int, quantum: int = DEFAULT_QUANTUM) -> None:
         super().__init__(env)
         if not prefixes:
             raise ValueError("drr needs a routing table")
@@ -67,7 +71,7 @@ class DrrApp(NetBenchApp):
         self.flows = env.allocator.alloc("drr_flows",
                                          flow_count * FLOW_BLOCK_BYTES)
         self.turn = env.allocator.alloc("drr_turn", 4)
-        self.tree = RadixTree(env, max_nodes=max_nodes,
+        self.tree = RadixTree(env, max_nodes=APP_TREE_NODES,
                               max_entries=len(prefixes), label_prefix="drr")
         self.dropped = 0
         #: bytes served per flow, as the scheduler *observed* them (lengths

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.apps.base import Environment, NetBenchApp
 from repro.apps.checksum import checksum_region
 from repro.apps.hashtable import HashTable
-from repro.apps.radix import RadixTree
+from repro.apps.radix import APP_TREE_NODES, RadixTree
 from repro.apps.app_tl import read_destination
 from repro.net.ip import IPV4_HEADER_BYTES
 from repro.net.packet import Packet
@@ -28,6 +28,9 @@ from repro.net.trace import RoutePrefix
 
 #: Public address pool base: translations come from 198.18.0.0/16 (RFC 2544).
 PUBLIC_POOL_BASE = 0xC6120000
+
+#: Slots in the in-memory NAT table (a power of two).
+TABLE_CAPACITY = 256
 
 
 class NatApp(NetBenchApp):
@@ -38,8 +41,7 @@ class NatApp(NetBenchApp):
                   "radix_path")
 
     def __init__(self, env: Environment, prefixes: "list[RoutePrefix]",
-                 private_sources: "list[int]", max_nodes: int = 4096,
-                 table_capacity: int = 256) -> None:
+                 private_sources: "list[int]") -> None:
         super().__init__(env)
         if not prefixes:
             raise ValueError("nat needs a routing table")
@@ -47,12 +49,12 @@ class NatApp(NetBenchApp):
             raise ValueError("nat needs at least one translatable source")
         self.prefixes = prefixes
         self.private_sources = sorted(set(private_sources))
-        if len(self.private_sources) >= table_capacity - 1:
+        if len(self.private_sources) >= TABLE_CAPACITY - 1:
             raise ValueError("NAT table capacity too small for the source set")
         self.buffer = env.allocator.alloc("nat_header_buffer",
                                           IPV4_HEADER_BYTES)
-        self.table = HashTable(env, capacity=table_capacity)
-        self.tree = RadixTree(env, max_nodes=max_nodes,
+        self.table = HashTable(env, capacity=TABLE_CAPACITY)
+        self.tree = RadixTree(env, max_nodes=APP_TREE_NODES,
                               max_entries=len(prefixes), label_prefix="nat")
 
     def control_plane(self) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.apps.base import Environment, NetBenchApp
 from repro.apps.checksum import checksum_region, update_ttl_and_checksum
-from repro.apps.radix import RadixTree
+from repro.apps.radix import APP_TREE_NODES, RadixTree
 from repro.apps.app_tl import read_destination
 from repro.net.ip import IPV4_HEADER_BYTES
 from repro.net.packet import Packet
@@ -26,15 +26,15 @@ class RouteApp(NetBenchApp):
     name = "route"
     categories = ("checksum", "ttl", "route_entry")
 
-    def __init__(self, env: Environment, prefixes: "list[RoutePrefix]",
-                 max_nodes: int = 4096) -> None:
+    def __init__(self, env: Environment,
+                 prefixes: "list[RoutePrefix]") -> None:
         super().__init__(env)
         if not prefixes:
             raise ValueError("route needs a routing table")
         self.prefixes = prefixes
         self.buffer = env.allocator.alloc("route_header_buffer",
                                           IPV4_HEADER_BYTES)
-        self.tree = RadixTree(env, max_nodes=max_nodes,
+        self.tree = RadixTree(env, max_nodes=APP_TREE_NODES,
                               max_entries=len(prefixes), label_prefix="route")
         self.dropped_checksum = 0
         self.dropped_ttl = 0

@@ -10,7 +10,7 @@ sees its largest energy-delay gains here (Figure 10(b), up to 43%).
 from __future__ import annotations
 
 from repro.apps.base import Environment, NetBenchApp, copy_packet_to_memory
-from repro.apps.radix import RadixTree
+from repro.apps.radix import APP_TREE_NODES, RadixTree
 from repro.net.ip import IPV4_HEADER_BYTES
 from repro.net.packet import Packet
 from repro.net.trace import RoutePrefix
@@ -35,15 +35,15 @@ class TableLookupApp(NetBenchApp):
     name = "tl"
     categories = ("radix_path", "route_entry")
 
-    def __init__(self, env: Environment, prefixes: "list[RoutePrefix]",
-                 max_nodes: int = 4096) -> None:
+    def __init__(self, env: Environment,
+                 prefixes: "list[RoutePrefix]") -> None:
         super().__init__(env)
         if not prefixes:
             raise ValueError("tl needs a routing table")
         self.prefixes = prefixes
         self.buffer = env.allocator.alloc("tl_header_buffer",
                                           HEADER_BUFFER_BYTES)
-        self.tree = RadixTree(env, max_nodes=max_nodes,
+        self.tree = RadixTree(env, max_nodes=APP_TREE_NODES,
                               max_entries=len(prefixes), label_prefix="tl")
 
     def control_plane(self) -> None:

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from repro.apps.base import Environment, NetBenchApp, copy_packet_to_memory
 from repro.apps.checksum import update_ttl_and_checksum
-from repro.apps.radix import FNV_OFFSET, RadixTree, fnv_step
+from repro.apps.radix import (
+    APP_TREE_NODES,
+    FNV_OFFSET,
+    RadixTree,
+    fnv_step,
+)
 from repro.apps.app_tl import read_destination
 from repro.net.ip import IPV4_HEADER_BYTES
 from repro.net.packet import Packet
@@ -49,7 +54,6 @@ class UrlApp(NetBenchApp):
 
     def __init__(self, env: Environment, prefixes: "list[RoutePrefix]",
                  patterns: "list[tuple[str, int]]",
-                 max_nodes: int = 4096,
                  buffer_bytes: int = DEFAULT_BUFFER_BYTES) -> None:
         """``patterns`` maps URL prefixes to server addresses (32-bit)."""
         super().__init__(env)
@@ -71,7 +75,7 @@ class UrlApp(NetBenchApp):
                                                MAX_PATH_BYTES)
         self.url_table = env.allocator.alloc("url_table",
                                              len(patterns) * URL_ENTRY_BYTES)
-        self.tree = RadixTree(env, max_nodes=max_nodes,
+        self.tree = RadixTree(env, max_nodes=APP_TREE_NODES,
                               max_entries=len(prefixes), label_prefix="url")
 
     def control_plane(self) -> None:

@@ -31,6 +31,10 @@ from repro.net.trace import RoutePrefix
 NODE_BYTES = 16
 ENTRY_BYTES = 16
 
+#: Node capacity of each application's routing tree: ample for the
+#: workloads' 64-prefix tables (a 24-bit prefix adds at most 24 nodes).
+APP_TREE_NODES = 4096
+
 #: Watchdog limit for one lookup: a legitimate walk visits at most 33
 #: nodes (depths 0..32), so anything beyond this is a fault-induced cycle.
 LOOKUP_WATCHDOG_LIMIT = 128

@@ -50,58 +50,54 @@ class Workload:
             raise ValueError("a workload needs at least one packet")
 
 
-def make_workload(
-    name: str,
-    packet_count: int = 300,
-    seed: int = 7,
-    prefix_count: int = 64,
-    flow_count: int = 16,
-    path_count: int = 24,
-    payload_bytes: "int | None" = None,
-) -> Workload:
+#: Routing-table prefixes behind every routed workload.
+PREFIX_COUNT = 64
+
+#: Flow population of the drr and nat traces.
+FLOW_COUNT = 16
+
+#: URL patterns in the url workload's table.
+PATH_COUNT = 24
+
+
+def make_workload(name: str, packet_count: int = 300,
+                  seed: int = 7) -> Workload:
     """Build the canonical workload for one of the seven applications.
 
-    Knob meanings follow the trace generators: ``prefix_count`` sizes the
-    routing table, ``flow_count`` the drr/nat flow population,
-    ``path_count`` the URL table, ``payload_bytes`` the crc/md5 message
-    size.  The crc/md5 payload defaults reproduce Table I's per-packet
-    work ratios (md5 and crc simulate an order of magnitude more
-    instructions than the header-only kernels).
+    The crc and md5 payload sizes (96 and 192 bytes) reproduce Table I's
+    per-packet work ratios: md5 and crc simulate an order of magnitude
+    more instructions than the header-only kernels.
     """
     if packet_count < 1:
         raise ValueError("need at least one packet")
     if name == "crc":
-        packets = uniform_trace(packet_count, seed, payload_bytes or 96)
+        packets = uniform_trace(packet_count, seed, 96)
         return Workload("crc", tuple(packets), lambda env: CrcApp(env))
     if name == "md5":
-        packets = uniform_trace(packet_count, seed, payload_bytes or 192)
+        packets = uniform_trace(packet_count, seed, 192)
         return Workload("md5", tuple(packets), lambda env: Md5App(env))
+    prefixes = make_prefixes(PREFIX_COUNT, seed)
     if name == "tl":
-        prefixes = make_prefixes(prefix_count, seed)
         packets = routed_trace(packet_count, prefixes, seed, payload_bytes=0)
         return Workload("tl", tuple(packets),
                         lambda env: TableLookupApp(env, prefixes))
     if name == "route":
-        prefixes = make_prefixes(prefix_count, seed)
         packets = routed_trace(packet_count, prefixes, seed, payload_bytes=0)
         return Workload("route", tuple(packets),
                         lambda env: RouteApp(env, prefixes))
     if name == "drr":
-        prefixes = make_prefixes(prefix_count, seed)
-        packets = flow_trace(packet_count, flow_count, prefixes, seed,
+        packets = flow_trace(packet_count, FLOW_COUNT, prefixes, seed,
                              payload_bytes=40)
         return Workload("drr", tuple(packets),
-                        lambda env: DrrApp(env, prefixes, flow_count))
+                        lambda env: DrrApp(env, prefixes, FLOW_COUNT))
     if name == "nat":
-        prefixes = make_prefixes(prefix_count, seed)
-        packets = flow_trace(packet_count, flow_count, prefixes, seed,
+        packets = flow_trace(packet_count, FLOW_COUNT, prefixes, seed,
                              payload_bytes=0)
         sources = sorted({packet.source for packet in packets})
         return Workload("nat", tuple(packets),
                         lambda env: NatApp(env, prefixes, sources))
     if name == "url":
-        prefixes = make_prefixes(prefix_count, seed)
-        paths = make_http_paths(path_count, seed)
+        paths = make_http_paths(PATH_COUNT, seed)
         packets = http_trace(packet_count, prefixes, seed, paths=paths)
         servers = [(path, ip_to_int("192.168.1.1") + index)
                    for index, path in enumerate(paths)]
@@ -110,11 +106,3 @@ def make_workload(
                         lambda env: UrlApp(env, prefixes, patterns))
     raise ValueError(f"unknown application {name!r}; "
                      f"expected one of {NETBENCH_APPS}")
-
-
-def all_workloads(packet_count: int = 300, seed: int = 7,
-                  ) -> "list[Workload]":
-    """The seven canonical workloads in Table-I order."""
-    return [make_workload(name, packet_count, seed)
-            for name in NETBENCH_APPS]
-

@@ -98,6 +98,11 @@ L2_LINE_BYTES = 128               #: 128-byte level-2 lines.
 L2_ASSOCIATIVITY = 4              #: 4-way set-associative level-2.
 L2_HIT_LATENCY_CYCLES = 15        #: 15-cycle level-2 latency.
 
+#: Main-memory latency charged per L2 fill.  The paper gives no figure;
+#: 100 cycles is the reproduction's own choice, shared by the execute
+#: kernel and the replay pricer so the two cannot drift.
+MEMORY_LATENCY_CYCLES = 100.0
+
 # --------------------------------------------------------------------------
 # Section 5.4 -- energy model (Montanaro / CACTI / Phelan ratios)
 # --------------------------------------------------------------------------

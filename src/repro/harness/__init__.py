@@ -17,8 +17,6 @@ from repro.harness.store import (
     ResultStore,
     canonical_json,
     config_key,
-    load_results,
-    save_results,
 )
 from repro.harness.experiment import (
     ExperimentResult,
@@ -51,8 +49,6 @@ __all__ = [
     "canonical_json",
     "config_key",
     "default_engine",
-    "load_results",
-    "save_results",
     "ExperimentConfig",
     "ExperimentResult",
     "PLANES",

@@ -17,8 +17,7 @@ import random
 from dataclasses import dataclass
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.engine import CampaignEngine, default_engine
-from repro.harness.experiment import golden_observations, load_workload
+from repro.harness.experiment import run_experiment
 from repro.harness.report import render_table
 from repro.harness.vulnerability import merge_buffer_labels
 from repro.mem.faults import FaultEvent, FaultInjector
@@ -98,26 +97,27 @@ def run_campaign(
     config: ExperimentConfig,
     trials: int = 50,
     seed: int = 101,
-    engine: "CampaignEngine | None" = None,
 ) -> CampaignResult:
     """Run ``trials`` single-fault experiments at random access indices.
 
     The base ``config`` supplies app/clock/policy; its ``fault_scale`` is
     ignored (each trial injects exactly one fault).  Access indices are
     sampled uniformly over the accesses a fault-free run performs in the
-    active plane(s).  Trials run through ``engine.run_one`` -- the
-    scripted injector makes them uncacheable, so they count in the
-    engine's progress counters but never touch its store.
+    active plane(s).  Each trial is one uncached
+    :func:`~repro.harness.experiment.run_experiment` with a scripted
+    injector, which only the faithful kernel accepts, so ``config`` must
+    name the ``execute`` backend.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    engine = engine if engine is not None else default_engine()
-    workload = load_workload(config)
-    golden_observations(workload, config)  # warm the golden cache once
+    if config.backend != "execute":
+        raise ValueError(
+            f"single-fault trials script the faithful kernel's injector; "
+            f"they require backend='execute', got {config.backend!r}")
     # Measure the eligible access count with a probe run whose fault
     # never fires (its draw() still counts every eligible access).
     probe = SingleFaultInjector(target_access=1 << 62)
-    engine.run_one(config, injector_override=probe)
+    run_experiment(config, injector_override=probe)
     total_accesses = probe._access_count
     if total_accesses == 0:
         raise RuntimeError("the workload performed no eligible accesses")
@@ -127,7 +127,7 @@ def run_campaign(
         target = rng.randrange(total_accesses)
         injector = SingleFaultInjector(target_access=target,
                                        bit_seed=seed + trial_number)
-        result = engine.run_one(config, injector_override=injector)
+        result = run_experiment(config, injector_override=injector)
         structure = None
         is_write = False
         if injector.fired and result.fault_sites:

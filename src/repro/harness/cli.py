@@ -35,11 +35,9 @@ back to faithful execution, by reason
 summed over every job.
 
 Backends: ``--backend {execute,replay}`` selects how configs become
-results (see :mod:`repro.harness.backends`).  The flag is defined once
-by :func:`~repro.harness.backends.backend_parent_parser` and shared by
-every experiment-running subcommand; with ``--cache-dir``, replay's
-recorded traces persist under ``<cache_dir>/traces`` next to the
-result store.
+results (see :data:`~repro.harness.config.BACKEND_NAMES`); with
+``--cache-dir``, replay's recorded traces persist under
+``<cache_dir>/traces`` next to the result store.
 """
 
 from __future__ import annotations
@@ -48,12 +46,9 @@ import argparse
 import sys
 
 from repro.harness import figures, tables
-from repro.harness.backends import (
-    backend_fallbacks,
-    backend_parent_parser,
-    configure_backend,
-)
+from repro.harness.config import BACKEND_NAMES
 from repro.harness.engine import CampaignEngine
+from repro.harness.experiment import replay_backend
 from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore
 from repro.mem.faults import INJECTOR_NAMES
@@ -241,19 +236,24 @@ def _render_job(job: "tuple[str, int, tuple[int, ...], str | None, int, "
     """Render one experiment id (picklable worker for --max-workers).
 
     Returns the artifact text plus the job engine's counter snapshot and
-    the backend's fallbacks during the job, by reason, so the parent can
-    aggregate a campaign summary across processes.
+    the replay backend's fallbacks during the job, by reason (empty under
+    ``execute``), so the parent can aggregate a campaign summary across
+    processes.
     """
     name, packets, seeds, cache_dir, engine_workers, injector, backend = job
+    render = _experiment_renderers()[name]
+    engine = _build_engine(cache_dir, engine_workers)
+    if backend == "execute":
+        output = render(packets, seeds, engine, injector, backend)
+        return output, engine.counters.snapshot(), {}
+    replay = replay_backend()
     # Re-applied per worker process: spawned workers do not inherit the
     # parent's trace-store configuration.
-    configure_backend(backend, cache_dir)
-    engine = _build_engine(cache_dir, engine_workers)
-    before = backend_fallbacks(backend)
-    output = _experiment_renderers()[name](packets, seeds, engine, injector,
-                                           backend)
+    replay.configure_backend(cache_dir)
+    before = replay.fallback_reasons()
+    output = render(packets, seeds, engine, injector, backend)
     fallbacks = {reason: count - before[reason]
-                 for reason, count in backend_fallbacks(backend).items()}
+                 for reason, count in replay.fallback_reasons().items()}
     return output, engine.counters.snapshot(), fallbacks
 
 
@@ -276,8 +276,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate artifacts of 'A Case for Clumsy Packet "
-                    "Processors' (MICRO-37, 2004)",
-        parents=[backend_parent_parser()])
+                    "Processors' (MICRO-37, 2004)")
     parser.add_argument("experiment",
                         choices=sorted(renderers) + ["all", "trace", "lint"],
                         help="experiment id from DESIGN.md, 'all', "
@@ -303,6 +302,15 @@ def main(argv: "list[str] | None" = None) -> int:
                              "skip-samples inter-fault gaps (same fault "
                              "law, several times faster; see "
                              "EXPERIMENTS.md for comparability)")
+    parser.add_argument(
+        "--backend", choices=sorted(BACKEND_NAMES), default="execute",
+        help="execution backend: 'execute' runs every config through "
+             "the faithful Python kernel; 'replay' records one "
+             "fault-free access trace per workload and re-prices each "
+             "(Cr, policy, injector, seed) config over it with a "
+             "vectorized fault/recovery/energy pipeline, falling back "
+             "to faithful execution for configs it cannot model "
+             "(default execute)")
     args = parser.parse_args(argv)
     seeds = tuple(int(part) for part in args.seeds.split(","))
     names = sorted(renderers) if args.experiment == "all" else [args.experiment]

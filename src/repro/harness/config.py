@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.constants import NETBENCH_APPS, RELATIVE_CYCLE_LEVELS
 from repro.core.recovery import NO_DETECTION, RecoveryPolicy, policy_by_name
-from repro.harness.backends import BACKEND_NAMES
 from repro.mem.faults import INJECTOR_NAMES
 
 #: Where fault injection is active (paper Figures 6/7 study the planes
@@ -17,6 +16,11 @@ PLANES = ("control", "data", "both", "none")
 #: see DESIGN.md ("Substitutions") and the fault-scale ablation bench.
 DEFAULT_FAULT_SCALE = 10.0
 
+#: How a config becomes a result: ``"execute"`` runs the faithful
+#: kernel, ``"replay"`` re-prices a recorded trace
+#: (:mod:`repro.replay.backend`).
+BACKEND_NAMES = ("execute", "replay")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -24,11 +28,6 @@ class ExperimentConfig:
 
     The workload is ``(app, packet_count, seed)``; ``cycle_time`` (or
     ``dynamic``) clocks the L1 data cache of both planes.
-
-    ``tracer`` optionally attaches a :class:`repro.telemetry.Tracer` to
-    the *faulty* run (the golden run is never traced).  Tracing is pure
-    observation -- it does not participate in config equality and cannot
-    perturb results.
 
     ``injector`` selects the fault-sampling implementation (see
     :data:`repro.mem.faults.INJECTOR_NAMES`): ``"reference"`` draws one
@@ -40,7 +39,7 @@ class ExperimentConfig:
     run; see EXPERIMENTS.md for when results are comparable.
 
     ``backend`` selects the execution strategy (see
-    :data:`repro.harness.backends.BACKEND_NAMES`): ``"execute"`` runs
+    :data:`BACKEND_NAMES`): ``"execute"`` runs
     the full Python kernel faithfully, ``"replay"`` sweeps a recorded
     access trace through the vectorized replayer (recording the trace
     on first use, falling back to faithful execution when the fault
@@ -65,10 +64,6 @@ class ExperimentConfig:
     l2_fill_fault_probability: float = 0.0
     injector: str = "reference"
     backend: str = "execute"
-    # Typed as object to keep this module telemetry-agnostic; any value
-    # with the Tracer protocol (emit/finish/enabled) works.
-    tracer: "object | None" = field(default=None, compare=False,
-                                    repr=False)
 
     def __post_init__(self) -> None:
         if self.app not in NETBENCH_APPS:
@@ -139,40 +134,23 @@ class ExperimentConfig:
     def to_json(self) -> "dict[str, object]":
         """Canonical JSON-safe representation (the store key's substrate).
 
-        The mapping is lossless and stable: every simulation-relevant
-        field appears under its dataclass name, the recovery policy is
+        The mapping is lossless and stable: every field appears under its
+        dataclass name, in field order, and the recovery policy is
         serialized as its registry *name* when registered (enums as
-        names) and as its field mapping otherwise, and the ``tracer`` is
-        excluded -- tracing is pure observation and never part of a
-        config's identity.
+        names) and as its field mapping otherwise.
         """
         try:
             registered = policy_by_name(self.policy.name)
         except ValueError:
             registered = None
-        policy: "object" = (self.policy.name if registered == self.policy
-                            else {"name": self.policy.name,
-                                  "strikes": self.policy.strikes,
-                                  "code": self.policy.code,
-                                  "sub_block": self.policy.sub_block})
-        return {
-            "app": self.app,
-            "packet_count": self.packet_count,
-            "seed": self.seed,
-            "cycle_time": self.cycle_time,
-            "policy": policy,
-            "dynamic": self.dynamic,
-            "fault_scale": self.fault_scale,
-            "planes": self.planes,
-            "l1_size_bytes": self.l1_size_bytes,
-            "l1_associativity": self.l1_associativity,
-            "burst_start_probability": self.burst_start_probability,
-            "burst_length": self.burst_length,
-            "burst_multiplier": self.burst_multiplier,
-            "l2_fill_fault_probability": self.l2_fill_fault_probability,
-            "injector": self.injector,
-            "backend": self.backend,
-        }
+        payload = {field.name: getattr(self, field.name)
+                   for field in fields(self)}
+        payload["policy"] = (self.policy.name if registered == self.policy
+                             else {"name": self.policy.name,
+                                   "strikes": self.policy.strikes,
+                                   "code": self.policy.code,
+                                   "sub_block": self.policy.sub_block})
+        return payload
 
     @classmethod
     def from_json(cls, data: "dict[str, object]") -> "ExperimentConfig":
@@ -189,19 +167,13 @@ class ExperimentConfig:
             policy = policy_by_name(policy)
         elif isinstance(policy, dict):
             policy = RecoveryPolicy(**policy)
-        field_names = {
-            "app", "packet_count", "seed", "cycle_time", "dynamic",
-            "fault_scale", "planes", "l1_size_bytes", "l1_associativity",
-            "burst_start_probability", "burst_length", "burst_multiplier",
-            "l2_fill_fault_probability", "injector", "backend"}
-        unknown = sorted(set(payload) - field_names)
+        unknown = sorted(set(payload)
+                         - {field.name for field in fields(cls)})
         if unknown:
             raise ValueError(
                 f"unknown ExperimentConfig field(s) {unknown}; the entry "
                 f"was written by an incompatible schema")
-        kwargs = {name: payload[name] for name in field_names
-                  if name in payload}
-        return cls(policy=policy, **kwargs)
+        return cls(policy=policy, **payload)
 
     def with_options(self, **overrides: object) -> "ExperimentConfig":
         """This config with the named fields replaced (keyword-only).
@@ -220,7 +192,3 @@ class ExperimentConfig:
                 f"unknown ExperimentConfig field(s) {unknown}; "
                 f"available fields: {field_names}")
         return replace(self, **overrides)  # type: ignore[arg-type]
-
-    def with_tracer(self, tracer: "object | None") -> "ExperimentConfig":
-        """This config with a tracer attached (identity unchanged)."""
-        return replace(self, tracer=tracer)

@@ -16,8 +16,13 @@ funnels through :class:`CampaignEngine`.  The engine:
    mode, it is the partition step doing its job;
 4. reports progress through the telemetry
    :class:`~repro.telemetry.metrics.CounterSet` (``campaign.configs``,
-   ``campaign.cache_hits``, ``campaign.simulated``, ``campaign.chunks``,
-   ``campaign.uncacheable``) plus an optional ``progress`` callback.
+   ``campaign.cache_hits``, ``campaign.simulated``, ``campaign.chunks``)
+   plus an optional ``progress`` callback.
+
+This is the one cached path from configs to results, and it honours
+each config's ``backend``.  A run with a tracer or a scripted injector
+is uncacheable and goes through
+:func:`~repro.harness.experiment.run_experiment` instead.
 
 Determinism is untouched: a result depends only on its config, never on
 chunking, scheduling, or whether it came from the store -- the warm-cache
@@ -26,9 +31,12 @@ equality tests assert ``repr``-identity between the two paths.
 
 from __future__ import annotations
 
-from repro.harness.backends import backend_runner, register_backend
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.experiment import (
+    ExperimentResult,
+    replay_backend,
+    run_experiment,
+)
 from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore, config_key
 from repro.telemetry.metrics import CounterSet
@@ -124,10 +132,10 @@ class CampaignEngine:
             configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
         """Simulate one chunk, dispatching each config's backend.
 
-        The ``execute`` group keeps the process-pool fan-out; any other
-        backend receives its sub-batch in one registry call (the replay
-        backend amortises trace loading across the batch).  Results come
-        back index-aligned with ``configs``.
+        The ``execute`` group keeps the process-pool fan-out; the
+        ``replay`` group goes to the replay backend in one call (it
+        amortises trace loading across the batch).  Results come back
+        index-aligned with ``configs``.
         """
         outcomes: "list[ExperimentResult | None]" = [None] * len(configs)
         by_backend: "dict[str, list[int]]" = {}
@@ -139,45 +147,16 @@ class CampaignEngine:
                 results = map_parallel(_worker, batch,
                                        max_workers=self.max_workers)
             else:
-                results = backend_runner(backend)(batch)
+                results = replay_backend().run_replay(batch)
             for index, result in zip(indices, results):
                 outcomes[index] = result
         return outcomes  # type: ignore[return-value]
-
-    def run_one(
-        self,
-        config: ExperimentConfig,
-        injector_override: "object | None" = None,
-        tracer: "object | None" = None,
-    ) -> ExperimentResult:
-        """One uncacheable run (scripted injectors, attached tracers).
-
-        An ``injector_override`` makes the outcome depend on state outside
-        the config, so it must never be filed under the config's content
-        address; this path bypasses the store entirely while still
-        counting toward the campaign's progress counters.  Overrides and
-        tracers observe the faithful kernel, so they require the
-        ``execute`` backend.
-        """
-        if config.backend != "execute" and (
-                injector_override is not None or tracer is not None
-                or config.tracer is not None):
-            raise ValueError(
-                f"injector overrides and tracers observe the faithful "
-                f"kernel; they require backend='execute', got "
-                f"{config.backend!r}")
-        self.counters.bump("campaign.uncacheable")
-        if config.backend != "execute":
-            return backend_runner(config.backend)([config])[0]
-        return run_experiment(config, injector_override=injector_override,
-                              tracer=tracer)
 
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> str:
         """One-line progress/result summary (stable ``name=value`` pairs)."""
-        names = ("configs", "cache_hits", "simulated", "chunks",
-                 "uncacheable")
+        names = ("configs", "cache_hits", "simulated", "chunks")
         return "campaign: " + " ".join(
             f"{name}={self.counters.get('campaign.' + name)}"
             for name in names)
@@ -200,36 +179,3 @@ _DEFAULT_ENGINE = CampaignEngine()
 def default_engine() -> CampaignEngine:
     """The process-wide default engine (no store, serial, no progress)."""
     return _DEFAULT_ENGINE
-
-
-def run(config: ExperimentConfig, *,
-        backend: "str | None" = None,
-        tracer: "object | None" = None,
-        engine: "CampaignEngine | None" = None) -> ExperimentResult:
-    """The unified single-run entry point (``repro.api.run``).
-
-    Runs one config through an engine, picking the execution lane from
-    ``backend`` (overriding ``config.backend`` when given; see
-    :data:`repro.harness.backends.BACKEND_NAMES`).  A ``tracer`` routes
-    through the uncacheable :meth:`CampaignEngine.run_one` path (tracing
-    observes the faithful kernel, so it requires the ``execute``
-    backend); ``engine`` defaults to the process-wide
-    :func:`default_engine`.  Sweeps should call
-    :meth:`CampaignEngine.run` directly to batch configs.
-    """
-    if backend is not None:
-        config = config.with_options(backend=backend)
-    if engine is None:
-        engine = default_engine()
-    if tracer is not None or config.tracer is not None:
-        return engine.run_one(config, tracer=tracer)
-    return engine.run([config])[0]
-
-
-def _execute_backend(
-        configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
-    """The faithful backend: every config runs the full kernel serially."""
-    return [run_experiment(config) for config in configs]
-
-
-register_backend("execute", _execute_backend)

@@ -21,7 +21,9 @@ This is the reproduction of the paper's Section 5 methodology:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Iterable
 
 from repro.apps.base import Environment, FATAL_CATEGORY, NetBenchApp
@@ -36,7 +38,6 @@ from repro.core.metrics import (
 )
 from repro.cpu.processor import Processor
 from repro.cpu.watchdog import FatalExecutionError
-from repro.harness.backends import warm_backend
 from repro.harness.config import ExperimentConfig
 from repro.mem.allocator import BumpAllocator, Region
 from repro.mem.errors import MemoryAccessError
@@ -234,13 +235,11 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
 
     This is the public single-run primitive shared by the experiment
     runner, the profiler, and the single-fault campaigns.  ``tracer``
-    (or, failing that, ``config.tracer``) receives the run's telemetry
-    events when ``faulty`` is true; golden runs are never traced, so a
-    trace describes exactly one fault-injected execution.
+    receives the run's telemetry events when ``faulty`` is true; golden
+    runs are never traced, so a trace describes exactly one
+    fault-injected execution.
     """
     env, injector = build_environment(config, faulty)
-    if tracer is None:
-        tracer = config.tracer
     if tracer is None or not faulty:
         tracer = NULL_TRACER
     env.hierarchy.attach_tracer(tracer)
@@ -336,20 +335,31 @@ def remember_golden(config: ExperimentConfig,
     _GOLDEN_CACHE.setdefault(_golden_key(config), observations)
 
 
+def replay_backend() -> ModuleType:
+    """The ``replay`` backend module, :mod:`repro.replay.backend`.
+
+    Replay sits above the harness in the layer DAG, so no harness
+    module imports it by statement.  This is the harness's one
+    crossing, by module name: the campaign engine prices replay chunks
+    through it, the golden cache warms replay workloads through it, and
+    the CLI configures trace persistence and reads fallbacks through it.
+    """
+    return importlib.import_module("repro.replay.backend")
+
+
 def golden_observations(workload: Workload, config: ExperimentConfig,
                         ) -> "list[dict[str, object]]":
     """Fetch (and cache) the workload's golden observations.
 
-    On a cache miss the config's backend is warmed first
-    (:func:`~repro.harness.backends.warm_backend`): the ``replay``
-    backend records the workload's trace, and the recording supplies
+    On a cache miss for a ``replay`` config the workload's trace is
+    recorded first (the backend's ``warm``), and the recording supplies
     the golden observations (:func:`remember_golden`).  Only if the
     cache is still empty -- an ``execute`` config, or a trace the store
     already held -- does ``config.golden()`` run here.
     """
     key = _golden_key(config)
-    if key not in _GOLDEN_CACHE:
-        warm_backend(config.backend, config)
+    if key not in _GOLDEN_CACHE and config.backend == "replay":
+        replay_backend().warm(config)
     if key not in _GOLDEN_CACHE:
         outcome = execute_workload(workload, config.golden(), faulty=False)
         if outcome.fatal_reason is not None:
@@ -393,8 +403,11 @@ def run_experiment(config: ExperimentConfig,
     ``injector_override`` substitutes a caller-built injector for the
     config-derived one in the faulty run (single-fault campaigns,
     scripted fault streams); the golden run is never affected.
-    ``tracer`` (or ``config.tracer``) receives the faulty run's telemetry
-    events; tracing never perturbs the result.
+    ``tracer`` receives the faulty run's telemetry events; tracing never
+    perturbs the result.  This is the one place either attaches: the
+    run always executes the faithful kernel, whatever ``config.backend``
+    names, and is never cached (a scripted injector makes the result
+    depend on state outside the config).
     """
     workload = load_workload(config)
     golden = golden_observations(workload, config)

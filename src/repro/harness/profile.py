@@ -50,11 +50,12 @@ def profile_workload(app: str, packet_count: int = 300, seed: int = 7,
     injector), so the profile describes the same execution the
     experiment runner compares against.  That run rides the MemView
     fast lane; its cache and processor counters are identical to the
-    slow path's, which is all a profile reads.  It
-    deliberately bypasses :func:`repro.harness.engine.run`: the profile
-    reads the live hierarchy and processor counters from the raw
-    :class:`RunOutcome`, which no backend's reduced
-    :class:`ExperimentResult` exposes.
+    slow path's, which is all a profile reads.  It calls
+    :func:`~repro.harness.experiment.execute_workload` rather than
+    :func:`~repro.harness.experiment.run_experiment`: the profile reads
+    the live hierarchy and processor counters from the raw
+    :class:`RunOutcome`, which the reduced :class:`ExperimentResult`
+    does not expose.
     """
     config = ExperimentConfig(app=app, packet_count=packet_count,
                               seed=seed).golden()

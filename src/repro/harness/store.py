@@ -9,7 +9,7 @@ configurations on every analysis pass is unaffordable).
 
 The store is content-addressed: a result is filed under the SHA-256 of
 its config's canonical JSON serialization (sorted keys, compact
-separators, tracer excluded, policies by name) concatenated with a
+separators, policies by name) concatenated with a
 *code-version salt*.  Bump :data:`CODE_VERSION` whenever a change to the
 simulator alters results for an unchanged config; every existing cache
 entry then misses and is transparently re-simulated -- invalidation
@@ -103,39 +103,6 @@ def config_key(config: ExperimentConfig, salt: str = CODE_VERSION) -> str:
     """The content address of one config's result (SHA-256 hex digest)."""
     text = salt + "\n" + canonical_json(config.to_json())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def save_results(path: "Path | str",
-                 results: "list[ExperimentResult]") -> Path:
-    """Write results as standalone JSONL (one ``to_json`` object per line).
-
-    This is the sharing format: a corpus saved here can be loaded on
-    another machine (or imported into a store) without re-simulation.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(result.to_json()) for result in results]
-    path.write_text("".join(line + "\n" for line in lines))
-    return path
-
-
-def load_results(path: "Path | str") -> "list[ExperimentResult]":
-    """Read a results JSONL file back, in file order.
-
-    Accepts both the :func:`save_results` standalone format (one bare
-    result object per line) and a store's ``chunk-*.jsonl`` format
-    (``{"key": ..., "result": ...}`` per line), so a cache directory's
-    chunks double as shareable corpora.
-    """
-    results = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        if set(payload) == {"key", "result"}:
-            payload = payload["result"]
-        results.append(ExperimentResult.from_json(payload))
-    return results
 
 
 class ResultStore:

@@ -17,14 +17,12 @@ boundaries, per-packet completions, and the eventual fatal error.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from repro.core.constants import NETBENCH_APPS
 from repro.core.recovery import ALL_POLICIES, EXTENSION_POLICIES
-from repro.harness.backends import backend_parent_parser
 from repro.harness.config import PLANES, ExperimentConfig
-from repro.harness.engine import run
+from repro.harness.experiment import run_experiment
 from repro.harness.figures import EDF_SETTINGS
 from repro.telemetry import Tracer, render_trace_report, write_csv, write_jsonl
 
@@ -47,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                     for policy in ALL_POLICIES + EXTENSION_POLICIES]
     parser = argparse.ArgumentParser(
         prog="repro trace",
-        description="Run one traced experiment and export its event log",
-        parents=[backend_parent_parser()])
+        description="Run one traced experiment and export its event log")
     parser.add_argument("app", choices=sorted(NETBENCH_APPS),
                         help="NetBench application to trace")
     parser.add_argument("--packets", type=int, default=DEFAULT_PACKETS,
@@ -84,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_trace(args: argparse.Namespace) -> int:
     """Execute one traced experiment and export/print its telemetry."""
     # The CLI namespace is untyped field data, so it flows through the
-    # canonical deserialization path (policy resolved by name) and the
-    # tracer -- pure observation, never part of config identity -- is
-    # attached afterwards.
+    # canonical deserialization path (policy resolved by name).  A tracer
+    # observes the faithful kernel, so the run is a plain
+    # run_experiment: there is no backend to choose.
     dynamic = args.clock == "dynamic"
     config = ExperimentConfig.from_json({
         "app": args.app, "packet_count": args.packets, "seed": args.seed,
@@ -94,16 +91,9 @@ def run_trace(args: argparse.Namespace) -> int:
         "policy": args.policy, "dynamic": dynamic,
         "fault_scale": args.fault_scale, "planes": args.planes,
         "l2_fill_fault_probability": args.l2_fill,
-        "backend": args.backend,
-    }).with_tracer(Tracer(epoch_packets=args.epoch))
-    tracer = config.tracer
-    # Tracers observe the faithful kernel, so run() rejects any other
-    # backend for traced configs; surface that as a CLI usage error.
-    try:
-        result = run(config)
-    except ValueError as error:
-        print(f"repro trace: {error}", file=sys.stderr)
-        return 2
+    })
+    tracer = Tracer(epoch_packets=args.epoch)
+    result = run_experiment(config, tracer=tracer)
 
     out_dir = Path(args.out)
     jsonl_path = out_dir / f"{args.app}.events.jsonl"

@@ -112,20 +112,17 @@ class MemoryHierarchy:
         policy: RecoveryPolicy = NO_DETECTION,
         cycle_time: float = 1.0,
         memory_size: int = 1 << 22,
-        memory_latency_cycles: float = 100.0,
         l1_size: int = constants.L1_SIZE_BYTES,
-        l1_line: int = constants.L1_LINE_BYTES,
         l1_associativity: int = constants.L1_ASSOCIATIVITY,
-        l1_latency: float = constants.L1_HIT_LATENCY_CYCLES,
-        l2_size: int = constants.L2_SIZE_BYTES,
-        l2_line: int = constants.L2_LINE_BYTES,
-        l2_associativity: int = constants.L2_ASSOCIATIVITY,
-        l2_latency: float = constants.L2_HIT_LATENCY_CYCLES,
         shared_l2: "Cache | None" = None,
         shared_memory: "BackingStore | None" = None,
         l2_fill_fault_probability: float = 0.0,
     ) -> None:
         """Build the hierarchy.
+
+        Line sizes, the L2 geometry and the latencies come from
+        :mod:`repro.core.constants`; only the L1D's size and
+        associativity vary per config.
 
         ``shared_l2``/``shared_memory`` let several cores (each with its
         own private L1D, processor, and injector) share one L2 and backing
@@ -147,9 +144,9 @@ class MemoryHierarchy:
         self.policy = policy
         self._l2_fill_fault_probability = l2_fill_fault_probability
         self.l2_fill_faults = 0
-        self._memory_latency = memory_latency_cycles
-        self._l1_latency = l1_latency
-        self._l2_latency = l2_latency
+        self._memory_latency = constants.MEMORY_LATENCY_CYCLES
+        self._l1_latency = constants.L1_HIT_LATENCY_CYCLES
+        self._l2_latency = constants.L2_HIT_LATENCY_CYCLES
         self._owns_l2 = shared_l2 is None
         if shared_l2 is not None:
             if shared_memory is None:
@@ -159,9 +156,12 @@ class MemoryHierarchy:
         else:
             self.memory = (shared_memory if shared_memory is not None
                            else BackingStore(memory_size))
-            self.l2 = Cache("L2", l2_size, l2_line, l2_associativity,
+            self.l2 = Cache("L2", constants.L2_SIZE_BYTES,
+                            constants.L2_LINE_BYTES,
+                            constants.L2_ASSOCIATIVITY,
                             lower=self.memory, on_fill=self._on_l2_fill)
-        self.l1d = Cache("L1D", l1_size, l1_line, l1_associativity,
+        self.l1d = Cache("L1D", l1_size, constants.L1_LINE_BYTES,
+                         l1_associativity,
                          lower=self.l2, on_fill=self._on_l1_fill,
                          on_writeback=self._on_l1_line_leaves)
         self._cycle_time = cycle_time

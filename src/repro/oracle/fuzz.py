@@ -9,7 +9,8 @@ config is *shrunk*: axes are greedily walked back toward index 0 while
 the failure persists, so the filed repro is minimal in the partial order
 the axis ordering defines.  Failures land in a corpus directory as JSON
 files replayable by :func:`replay_corpus_entry` (and by
-``CampaignEngine.run_one`` after ``ExperimentConfig.from_json``).
+:func:`~repro.harness.experiment.run_experiment` after
+``ExperimentConfig.from_json``).
 
 Everything is seeded: the same ``(seed, budget, space)`` triple visits
 the same configs in the same order, so a corpus entry names the exact

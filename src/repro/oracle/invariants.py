@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Type
 
 from repro.core import constants
-from repro.core.fault_model import FaultModel
 from repro.core.frequency import FrequencyLadder
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult
@@ -174,34 +173,6 @@ def _group_key(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # The catalogue
 # ---------------------------------------------------------------------------
-
-@register_invariant
-class FaultCurveMonotone(Invariant):
-    """The model's P_E(Cr) curve never decreases as Cr shrinks."""
-
-    id = "fault-curve-monotone"
-    short = "model fault probability non-decreasing as Cr shrinks"
-    paper = "Figures 1(b)-5, Equation (4)"
-    per_result = False
-
-    #: Cr grid the model curve is sampled on (nominal down to the paper's
-    #: fastest setting).
-    GRID = tuple(1.0 - 0.05 * step for step in range(16))
-
-    def check(self, results: "list[ExperimentResult]",
-              ) -> "Iterator[Violation]":
-        model = FaultModel.calibrated()
-        previous_cr: "float | None" = None
-        previous_p = 0.0
-        for cr in self.GRID:
-            p = model.single_bit_probability(cr)
-            if previous_cr is not None and p < previous_p:
-                yield self.violation(
-                    f"P_E({cr}) = {p:.3e} < P_E({previous_cr}) = "
-                    f"{previous_p:.3e}: the physics chain must be "
-                    f"monotone in over-clocking")
-            previous_cr, previous_p = cr, p
-
 
 @register_invariant
 class FaultRateMonotone(Invariant):

@@ -6,7 +6,7 @@ it content-addressed next to the result store
 (:mod:`repro.replay.trace`), and sweeps (Cr, policy, injector, seed)
 configurations over the recorded stream with a vectorized
 fault/recovery/energy pipeline (:mod:`repro.replay.replayer`).  The
-``"replay"`` entry in :data:`repro.harness.backends.BACKEND_NAMES`
+``"replay"`` entry in :data:`repro.harness.config.BACKEND_NAMES`
 resolves here (:mod:`repro.replay.backend`); configs the replayer
 cannot model fall back to faithful execution.
 """

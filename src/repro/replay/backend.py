@@ -1,9 +1,13 @@
 """The ``replay`` execution backend: record once, re-price per config.
 
-Registered under :data:`repro.harness.backends.BACKEND_NAMES` as
-``"replay"`` and imported lazily by
-:func:`~repro.harness.backends.backend_runner` on first dispatch.  A
-batch of configs is served trace-first: each config's workload trace is
+The harness reaches this module by name, through
+:func:`~repro.harness.experiment.replay_backend`, since replay sits
+above it in the layer DAG: the campaign engine hands it each chunk's
+``backend="replay"`` configs (:func:`run_replay`), the golden cache
+warms a workload's trace on a miss (:func:`warm`), and the CLI points
+trace persistence at its cache directory (:func:`configure_backend`)
+and reports fallbacks (:func:`fallback_reasons`).  A batch of configs
+is served trace-first: each config's workload trace is
 recorded (or fetched from the :class:`~repro.replay.trace.TraceStore`)
 and handed to :func:`~repro.replay.replayer.replay_trace`; configs the
 replayer declines -- a static refusal
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.harness.backends import register_backend
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.replay.replayer import decline_reason, replay_trace
@@ -60,10 +63,9 @@ def set_trace_store(store: TraceStore) -> TraceStore:
 def configure_backend(cache_dir: "str | None") -> None:
     """Point trace persistence at ``<cache_dir>/traces`` (or memory).
 
-    The hook :func:`repro.harness.backends.configure_backend` resolves
-    by name: with a cache directory, recorded traces live on disk next
-    to the result store and survive across processes; without one, the
-    store reverts to the in-memory process-wide memo.
+    With a cache directory, recorded traces live on disk next to the
+    result store and survive across processes; without one, the store
+    reverts to the in-memory process-wide memo.
     """
     if cache_dir is None:
         set_trace_store(TraceStore())
@@ -74,10 +76,10 @@ def configure_backend(cache_dir: "str | None") -> None:
 def warm(config: ExperimentConfig) -> None:
     """Record (or fetch) ``config``'s trace before its golden run.
 
-    The hook :func:`repro.harness.backends.warm_backend` resolves by
-    name on a golden-cache miss: a fresh recording adopts its
-    observations as the golden ones, so the workload runs fault-free
-    once whichever of trace and golden run is asked for first.
+    :func:`~repro.harness.experiment.golden_observations` calls this on
+    a golden-cache miss: a fresh recording adopts its observations as
+    the golden ones, so the workload runs fault-free once whichever of
+    trace and golden run is asked for first.
     """
     _TRACE_STORE.get_or_record(config)
 
@@ -95,7 +97,7 @@ def fallback_count() -> int:
 
 def run_replay(
         configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
-    """The registered backend entry point (index-aligned results).
+    """The backend entry point (index-aligned results).
 
     Each config replays over its workload's recorded trace; ``None``
     from the replayer (divergence or an unsupported fault mode) falls
@@ -111,6 +113,3 @@ def run_replay(
             result = run_experiment(config)
         results.append(result)
     return results
-
-
-register_backend("replay", run_replay)

@@ -63,8 +63,7 @@ from repro.replay.trace import (
 
 _L1_LATENCY = float(constants.L1_HIT_LATENCY_CYCLES)
 _L2_LATENCY = float(constants.L2_HIT_LATENCY_CYCLES)
-#: MemoryHierarchy's constructor default (not config-exposed).
-_MEMORY_LATENCY = 100.0
+_MEMORY_LATENCY = float(constants.MEMORY_LATENCY_CYCLES)
 _PENALTY = float(constants.FREQUENCY_CHANGE_PENALTY_CYCLES)
 
 

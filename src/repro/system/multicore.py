@@ -55,6 +55,9 @@ from repro.telemetry.tracer import NULL_TRACER
 #: First usable address of each engine's private slice (0 stays null).
 SLICE_BASE_OFFSET = 0x1000
 
+#: Bytes of shared backing store, split into one slice per engine.
+SYSTEM_MEMORY_BYTES = 1 << 23
+
 
 @dataclass
 class EngineState:
@@ -83,8 +86,6 @@ class MulticoreSystem:
         cycle_time: float = 1.0,
         fault_scale: float = 0.0,
         seed: int = 7,
-        memory_size: int = 1 << 23,
-        memory_latency_cycles: float = 100.0,
         tracer: "object | None" = None,
     ) -> None:
         """``tracer`` receives every engine's events, stamped with the
@@ -93,13 +94,12 @@ class MulticoreSystem:
         if core_count < 1:
             raise ValueError("need at least one engine")
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        slice_size = memory_size // core_count
+        slice_size = SYSTEM_MEMORY_BYTES // core_count
         if slice_size <= SLICE_BASE_OFFSET:
             raise ValueError("memory too small for the engine count")
         self.workload = workload
         self.core_count = core_count
-        self.memory = BackingStore(memory_size)
-        self._memory_latency = memory_latency_cycles
+        self.memory = BackingStore(SYSTEM_MEMORY_BYTES)
         self._active_engine: "EngineState | None" = None
         self.l2 = Cache("L2", constants.L2_SIZE_BYTES,
                         constants.L2_LINE_BYTES,
@@ -116,8 +116,7 @@ class MulticoreSystem:
                 model=model, seed=seed * 7919 + index, scale=fault_scale)
             hierarchy = MemoryHierarchy(
                 processor, injector, policy=policy, cycle_time=cycle_time,
-                shared_l2=self.l2, shared_memory=self.memory,
-                memory_latency_cycles=memory_latency_cycles)
+                shared_l2=self.l2, shared_memory=self.memory)
             hierarchy.attach_tracer(self.tracer, engine_id=index)
             base = index * slice_size + SLICE_BASE_OFFSET
             allocator = BumpAllocator(base, slice_size - SLICE_BASE_OFFSET)
@@ -131,8 +130,9 @@ class MulticoreSystem:
     def _on_l2_fill(self, line_address: int) -> None:
         engine = self._active_engine
         if engine is not None:
-            engine.env.processor.stall(self._memory_latency)
-            engine.env.hierarchy.stall_cycles_memory += self._memory_latency
+            latency = constants.MEMORY_LATENCY_CYCLES
+            engine.env.processor.stall(latency)
+            engine.env.hierarchy.stall_cycles_memory += latency
 
     # -- execution -------------------------------------------------------------
 

@@ -15,8 +15,9 @@ that causal chain inspectable:
   (:mod:`repro.telemetry.export`);
 * terminal timeline and per-epoch reports (:mod:`repro.telemetry.report`).
 
-Attach a tracer through :class:`repro.harness.config.ExperimentConfig`
-(``tracer=``) or drive everything from the CLI::
+Attach a tracer through
+:func:`repro.harness.experiment.run_experiment` (``tracer=``) or drive
+everything from the CLI::
 
     python -m repro trace route --packets 200
 """

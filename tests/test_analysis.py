@@ -8,6 +8,7 @@ asserting the real repository tree lints clean and every module under
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -234,6 +235,31 @@ def test_layering_allows_declared_edges():
 def test_layering_resolves_relative_imports():
     assert "layering" in rules_hit("from ..harness import config\n",
                                    "repro/mem/fixture.py")
+
+
+def test_one_import_by_module_name():
+    # The layering rule reads import statements only, so a module
+    # imported by name is a crossing it cannot see.  The harness has
+    # exactly one, harness.experiment.replay_backend(); a second would
+    # be a new unchecked edge.
+    source_root = os.path.join(REPO_ROOT, "src", "repro")
+    callers = []
+    for directory, _, names in sorted(os.walk(source_root)):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            callers.extend(
+                os.path.relpath(path, source_root)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr",
+                            getattr(node.func, "id", None))
+                == "import_module")
+    assert callers == [os.path.join("harness", "experiment.py")]
 
 
 # -- private-import -----------------------------------------------------------

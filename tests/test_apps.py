@@ -14,7 +14,7 @@ from repro.apps.app_tl import TableLookupApp
 from repro.apps.app_url import UrlApp
 from repro.apps.base import INITIALIZATION_CATEGORY, NetBenchApp
 from repro.core.constants import NETBENCH_APPS
-from repro.apps.registry import all_workloads, make_workload
+from repro.apps.registry import make_workload
 from repro.net.ip import IPV4_HEADER_BYTES, ip_to_int
 from repro.net.packet import Packet
 from repro.net.trace import make_prefixes, RoutePrefix
@@ -174,8 +174,7 @@ class TestNatApp:
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
-            NatApp(env, PREFIXES, private_sources=list(range(1, 300)),
-                   table_capacity=256)
+            NatApp(env, PREFIXES, private_sources=list(range(1, 300)))
 
 
 class TestUrlApp:
@@ -272,11 +271,6 @@ class TestRegistry:
         first = make_workload("route", packet_count=10, seed=4)
         second = make_workload("route", packet_count=10, seed=4)
         assert first.packets == second.packets
-
-    def test_all_workloads_in_table_order(self):
-        names = [workload.app_name
-                 for workload in all_workloads(packet_count=2)]
-        assert names == list(NETBENCH_APPS)
 
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):

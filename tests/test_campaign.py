@@ -96,6 +96,13 @@ class TestCampaign:
             run_campaign(campaign_config(packet_count=10, cycle_time=1.0),
                          trials=0)
 
+    def test_replay_backend_refused(self):
+        # A scripted injector needs the faithful kernel; replay would
+        # silently price the config's own fault law instead.
+        with pytest.raises(ValueError, match="backend='execute'"):
+            run_campaign(campaign_config(packet_count=10, backend="replay"),
+                         trials=1)
+
     def test_detection_lowers_conversion(self):
         exposed = run_campaign(campaign_config(), trials=20, seed=3)
         protected = run_campaign(campaign_config(policy=TWO_STRIKE),

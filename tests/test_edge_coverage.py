@@ -1,5 +1,5 @@
 """Edge coverage: narrow-access corruption mapping, CLI extensions,
-registry knobs, and result accessors."""
+and result accessors."""
 
 import pytest
 
@@ -43,21 +43,6 @@ class TestNarrowAccessCorruption:
         hierarchy.write(0x103, 0x0000, 2)
         assert hierarchy.corruption == {0x100: frozenset({24}),
                                          0x104: frozenset({0})}
-
-
-class TestRegistryKnobs:
-    def test_payload_override(self):
-        from repro.apps.registry import make_workload
-        workload = make_workload("crc", packet_count=3, payload_bytes=10)
-        assert all(len(packet.payload) == 10
-                   for packet in workload.packets)
-
-    def test_prefix_count_flows_through(self):
-        from repro.apps.registry import make_workload
-        from tests.conftest import build_test_environment
-        workload = make_workload("tl", packet_count=3, prefix_count=5)
-        app = workload.build(build_test_environment())
-        assert len(app.prefixes) == 6  # 5 + default route
 
 
 class TestResultAccessors:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.constants import NETBENCH_APPS
 from repro.core.recovery import NO_DETECTION, TWO_STRIKE
-from repro.harness.campaign import SingleFaultInjector
 from repro.harness.engine import CampaignEngine, default_engine
 from repro.harness.figures import render_edf
 from repro.harness.store import ResultStore
@@ -183,24 +182,6 @@ class TestCachePartition:
             repr(result) for result in reference]
 
 
-class TestRunOne:
-    def test_injector_override_bypasses_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        engine = CampaignEngine(store=store)
-        config = make_config(policy=NO_DETECTION, fault_scale=0.0)
-        injector = SingleFaultInjector(target_access=5, bit_seed=3)
-        engine.run_one(config, injector_override=injector)
-        assert engine.counters.get("campaign.uncacheable") == 1
-        assert len(store) == 0
-
-    def test_plain_run_one_matches_run(self):
-        engine = CampaignEngine()
-        config = make_config()
-        one = engine.run_one(config)
-        [batch] = engine.run([config])
-        assert repr(one) == repr(batch)
-
-
 class TestReporting:
     def test_progress_callback_per_chunk(self, tmp_path):
         lines = []
@@ -215,8 +196,7 @@ class TestReporting:
         engine.run(sweep_configs(2))
         engine.run(sweep_configs(2))
         assert engine.summary() == (
-            "campaign: configs=4 cache_hits=2 simulated=2 chunks=1 "
-            "uncacheable=0")
+            "campaign: configs=4 cache_hits=2 simulated=2 chunks=1")
 
     def test_default_engine_is_shared_and_uncached(self):
         engine = default_engine()

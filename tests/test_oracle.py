@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from repro.harness import backends as harness_backends
 from repro.harness.config import ExperimentConfig
 from repro.harness.engine import CampaignEngine
 from repro.harness.experiment import run_experiment
@@ -146,8 +145,7 @@ class TestDifferential:
                             instructions=result.instructions + 1)
                     for result in results]
 
-        monkeypatch.setitem(harness_backends._BACKEND_RUNNERS,
-                            "replay", tampered)
+        monkeypatch.setattr(replay_backend, "run_replay", tampered)
         divergences = run_differential(make_config(), seeds=(7,),
                                        paths=("replay",))
         assert any(d.field == "instructions" for d in divergences)

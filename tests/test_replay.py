@@ -9,9 +9,9 @@ Three layers of guarantees, tested bottom-up:
   fault law is active (the fault-free contract the oracle's replay twin
   enforces exactly), and falls back -- rather than approximating -- on
   configs it cannot model;
-* the **backend plumbing** (registry dispatch, ``with_options``, the
-  shared trace store, engine grouping) routes configs to the right
-  runner and keeps results index-aligned.
+* the **backend plumbing** (``with_options``, the shared trace store,
+  engine grouping) routes configs to the right backend and keeps
+  results index-aligned.
 
 The statistical (faulted) contract is the oracle's job -- see
 ``tests/test_oracle.py`` and :mod:`repro.oracle.differential`.
@@ -26,13 +26,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.harness.backends import (
-    BACKEND_MODULES,
-    BACKEND_NAMES,
-    backend_parent_parser,
-    backend_runner,
-    configure_backend,
-)
 from repro.harness.config import ExperimentConfig
 from repro.harness.engine import CampaignEngine
 from repro.harness.experiment import ExperimentResult, run_experiment
@@ -48,6 +41,7 @@ from repro.replay import (
     trace_key,
     trace_store,
 )
+from repro.replay.backend import configure_backend
 from repro.replay.replayer import decline_reason
 from tests.strategies import make_config
 
@@ -310,11 +304,6 @@ class TestReplayExactTwin:
 
 
 class TestBackendPlumbing:
-    def test_registry_tables_agree(self):
-        assert set(BACKEND_NAMES) == set(BACKEND_MODULES)
-        for name in BACKEND_NAMES:
-            assert callable(backend_runner(name))
-
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             make_config(backend="interpret")
@@ -346,16 +335,9 @@ class TestBackendPlumbing:
     def test_configure_backend_points_store_at_cache(self, tmp_path):
         previous = set_trace_store(TraceStore())
         try:
-            configure_backend("replay", str(tmp_path))
+            configure_backend(str(tmp_path))
             assert trace_store().directory == tmp_path / "traces"
-            configure_backend("replay", None)
+            configure_backend(None)
             assert trace_store().directory is None
-            configure_backend("execute", str(tmp_path))  # no-op
         finally:
             set_trace_store(previous)
-
-    def test_parent_parser_defines_backend_flag(self):
-        args = backend_parent_parser().parse_args([])
-        assert args.backend == "execute"
-        args = backend_parent_parser().parse_args(["--backend", "replay"])
-        assert args.backend == "replay"

@@ -19,8 +19,6 @@ from repro.harness.store import (
     ResultStore,
     canonical_json,
     config_key,
-    load_results,
-    save_results,
 )
 
 #: Configs spanning every serialization axis: each app, every policy
@@ -69,18 +67,10 @@ class TestConfigRoundTrip:
         assert payload["policy"]["strikes"] == 5
         assert ExperimentConfig.from_json(payload).policy == custom
 
-    def test_tracer_excluded_from_identity(self):
-        class FakeTracer:
-            enabled = True
-        config = ExperimentConfig(app="tl", packet_count=5)
-        traced = config.with_tracer(FakeTracer())
-        assert traced.to_json() == config.to_json()
-        assert config_key(traced) == config_key(config)
-
     @pytest.mark.parametrize("name, value", [
         ("frequency_boost", 2.0),
-        # A v6-schema entry (old cache or save_results corpus): the
-        # scenario field is gone and must not be dropped silently.
+        # A v6-schema cache entry: the scenario field is gone and must
+        # not be dropped silently.
         ("scenario", None),
         # A v7-schema entry: the mapped injectors' fault-map parameters
         # are gone with them.
@@ -101,18 +91,17 @@ class TestConfigRoundTrip:
             ExperimentConfig.from_json(payload)
 
     def test_json_names_every_field_but_the_tracer(self):
+        # Every field, in field order: a tracer is run_experiment's
+        # argument, not a config field.
         config = ExperimentConfig(app="tl", packet_count=5)
-        fields = [name for name in config.__dataclass_fields__
-                  if name != "tracer"]
+        fields = list(config.__dataclass_fields__)
         assert list(config.to_json()) == fields
 
     def test_hashable_by_identity(self):
-        class FakeTracer:
-            enabled = True
         config = ROUND_TRIP_CONFIGS[0]
         clone = ExperimentConfig.from_json(config.to_json())
         assert hash(clone) == hash(config)
-        assert {config: 1}[clone.with_tracer(FakeTracer())] == 1
+        assert {config: 1}[clone] == 1
 
     def test_validation_still_applies(self):
         payload = ExperimentConfig(app="tl", packet_count=5).to_json()
@@ -166,23 +155,6 @@ class TestResultRoundTrip:
         assert repr(clone) == repr(result)
         assert clone.product() == result.product()
         assert clone.fallibility == result.fallibility
-
-    def test_save_load_helpers(self, tmp_path):
-        results = [run_experiment(config)
-                   for config in ROUND_TRIP_CONFIGS[:2]]
-        path = save_results(tmp_path / "corpus.jsonl", results)
-        loaded = load_results(path)
-        assert [repr(result) for result in loaded] == [
-            repr(result) for result in results]
-
-    def test_load_results_reads_store_chunks(self, tmp_path):
-        """Cache chunks double as shareable corpora."""
-        results = [run_experiment(config)
-                   for config in ROUND_TRIP_CONFIGS[:2]]
-        chunk = ResultStore(tmp_path).put_many(results)
-        loaded = load_results(chunk)
-        assert [repr(result) for result in loaded] == [
-            repr(result) for result in results]
 
 
 class TestResultStore:

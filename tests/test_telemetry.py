@@ -192,17 +192,16 @@ class TestNonPerturbation:
         clear_golden_cache()
         untraced = run_experiment(ExperimentConfig(**self.CONFIG))
         tracer = Tracer(epoch_packets=10)
-        traced = run_experiment(ExperimentConfig(**self.CONFIG,
-                                                 tracer=tracer))
+        traced = run_experiment(ExperimentConfig(**self.CONFIG),
+                                tracer=tracer)
         assert repr(traced) == repr(untraced)
         assert tracer.events, "tracer should have observed the run"
         assert tracer.count(PacketDone) == traced.processed_packets
 
-    def test_tracer_excluded_from_config_identity(self):
-        plain = ExperimentConfig(**self.CONFIG)
-        traced = ExperimentConfig(**self.CONFIG, tracer=Tracer())
-        assert plain == traced
-        assert "tracer" not in repr(traced)
+    def test_tracer_is_not_a_config_field(self):
+        # A tracer attaches only as run_experiment's argument.
+        with pytest.raises(TypeError, match="tracer"):
+            ExperimentConfig(**self.CONFIG, tracer=Tracer())
 
 
 class TestTraceCommand:
@@ -217,6 +216,16 @@ class TestTraceCommand:
         cycles = [event.cycle for event in events]
         assert cycles == sorted(cycles), "timestamps must be monotone"
         assert (tmp_path / "route.events.csv").exists()
+
+    def test_backend_flag_is_a_usage_error(self, tmp_path, capsys):
+        # A tracer observes the faithful kernel; there is no backend to
+        # choose, so the flag is unknown to argparse.
+        with pytest.raises(SystemExit) as exit_info:
+            tracecmd.main(["route", "--backend", "replay",
+                           "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_reports_render(self):
         tracer = Tracer(epoch_packets=2)

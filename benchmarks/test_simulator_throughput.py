@@ -223,10 +223,10 @@ class TestReplayBackendThroughput:
     """Warm fig9-12-shaped sweep, replay backend vs faithful execution.
 
     Each application's trace is recorded once (outside the timed
-    region: a warm sweep is the backend's steady state -- the CLI
-    persists traces under ``<cache_dir>/traces``), then the full
-    (policy x Cr-setting) block replays per app against the same block
-    executing faithfully.  Replay's total includes its fallbacks (the
+    region: a warm sweep is the backend's steady state -- a process
+    records each workload once and replays it for every config), then
+    the full (policy x Cr-setting) block replays per app against the
+    same block executing faithfully.  Replay's total includes its fallbacks (the
     configs whose sampled faults reach branched-on values re-run the
     faithful kernel inside ``run_replay``), so the gated number is the
     honest end-to-end cost of ``--backend replay``.  Each of the

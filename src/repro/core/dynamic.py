@@ -40,10 +40,6 @@ class DynamicFrequencyController:
     x1_percent: float = constants.DYNAMIC_X1_PERCENT
     x2_percent: float = constants.DYNAMIC_X2_PERCENT
     initial_cycle_time: float = 1.0
-    #: Optional telemetry tracer (duck-typed to avoid a core->telemetry
-    #: dependency); decision outcomes are counted, never events, so the
-    #: controller stays layering-clean.
-    tracer: "object | None" = None
 
     def __post_init__(self) -> None:
         if self.epoch_packets <= 0:
@@ -90,20 +86,11 @@ class DynamicFrequencyController:
         # treat it as a single fault so quiet epochs keep climbing.
         anchor = max(reference if reference is not None else 0, 1)
         new_cycle_time = self._cycle_time
-        decision = "hold"
         if faults > anchor * self.x1_percent / 100.0:
             new_cycle_time = self.ladder.slower(self._cycle_time)
-            decision = "slower"
         elif faults < anchor * self.x2_percent / 100.0:
             new_cycle_time = self.ladder.faster(self._cycle_time)
-            decision = "faster"
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.counters.bump(f"dynamic.decisions.{decision}")
         if new_cycle_time == self._cycle_time:
-            if (decision != "hold" and self.tracer is not None
-                    and self.tracer.enabled):
-                # The ladder end stopped a wanted move: worth counting.
-                self.tracer.counters.bump("dynamic.decisions.saturated")
             return False
         self._cycle_time = new_cycle_time
         self._reference_faults = faults

@@ -31,10 +31,6 @@ class Processor:
         self.instructions = 0
         self._frequency_changes = 0
         self._finalized = False
-        #: Optional telemetry tracer (duck-typed; None keeps the cpu layer
-        #: free of a telemetry dependency).  The processor's cycle count is
-        #: the timestamp source for every event emitted against it.
-        self.tracer: "object | None" = None
 
     # -- work feed ------------------------------------------------------------
 
@@ -55,8 +51,6 @@ class Processor:
         """Charge the fixed penalty for a cache clock change (Section 4)."""
         self.cycles += constants.FREQUENCY_CHANGE_PENALTY_CYCLES
         self._frequency_changes += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.counters.bump("processor.frequency_changes")
 
     # -- results ------------------------------------------------------------
 
@@ -69,12 +63,6 @@ class Processor:
             self.energy.charge_core_cycles(self.cycles)
             self.energy.charge_l1i_accesses(self.instructions)
             self._finalized = True
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.gauges["processor.cycles"] = self.cycles
-                self.tracer.gauges["processor.instructions"] = (
-                    self.instructions)
-                self.tracer.gauges["processor.energy_total"] = (
-                    self.energy.total)
         return self.energy
 
     @property

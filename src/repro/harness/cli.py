@@ -35,9 +35,9 @@ back to faithful execution, by reason
 summed over every job.
 
 Backends: ``--backend {execute,replay}`` selects how configs become
-results (see :data:`~repro.harness.config.BACKEND_NAMES`); with
-``--cache-dir``, replay's recorded traces persist under
-``<cache_dir>/traces`` next to the result store.
+results (see :data:`~repro.harness.config.BACKEND_NAMES`); replay's
+recorded traces live in each process's memory, so ``--cache-dir``
+holds results only.
 """
 
 from __future__ import annotations
@@ -247,9 +247,6 @@ def _render_job(job: "tuple[str, int, tuple[int, ...], str | None, int, "
         output = render(packets, seeds, engine, injector, backend)
         return output, engine.counters.snapshot(), {}
     replay = replay_backend()
-    # Re-applied per worker process: spawned workers do not inherit the
-    # parent's trace-store configuration.
-    replay.configure_backend(cache_dir)
     before = replay.fallback_reasons()
     output = render(packets, seeds, engine, injector, backend)
     fallbacks = {reason: count - before[reason]

@@ -250,7 +250,7 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
     app = workload.build(env)
     controller = None
     if faulty and config.dynamic:
-        controller = DynamicFrequencyController(tracer=tracer)
+        controller = DynamicFrequencyController()
     injector.enabled = faulty and config.planes in ("control", "both")
     observations: "list[dict[str, object]]" = []
     packet_cycles: "list[float]" = []
@@ -295,11 +295,6 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
                 packet_index=fatal_index, reason=fatal_reason,
                 cr=env.hierarchy.cycle_time))
     env.processor.finalize()
-    if tracer.enabled:
-        # Fast-lane coverage aggregates: bumped as plain integers on the
-        # hot path (the lane stays event-free) and exported once here.
-        tracer.gauges["hierarchy.fast_reads"] = env.hierarchy.fast_reads
-        tracer.gauges["hierarchy.fast_writes"] = env.hierarchy.fast_writes
     tracer.finish()
     return RunOutcome(
         observations=observations, fatal_reason=fatal_reason,
@@ -342,7 +337,7 @@ def replay_backend() -> ModuleType:
     module imports it by statement.  This is the harness's one
     crossing, by module name: the campaign engine prices replay chunks
     through it, the golden cache warms replay workloads through it, and
-    the CLI configures trace persistence and reads fallbacks through it.
+    the CLI reads fallbacks through it.
     """
     return importlib.import_module("repro.replay.backend")
 

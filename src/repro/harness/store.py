@@ -78,18 +78,6 @@ _CHUNK_DIGEST_LENGTH = 12
 _TEMP_SEQUENCE = itertools.count()
 
 
-def writer_temp_path(directory: Path, name: str) -> Path:
-    """A writer-unique temp sibling in ``directory`` for the file ``name``.
-
-    Suffixing pid + a process-local counter guarantees no two writers --
-    processes sharing one ``--cache-dir``, or threads of one process --
-    ever open the same temp file, closing the interleaved-write and
-    vanished-temp hazards a name-only temp had.  The file is written
-    there and then ``os.replace``d onto its final name.
-    """
-    return directory / f".tmp-{name}-{os.getpid()}-{next(_TEMP_SEQUENCE)}"
-
-
 def canonical_json(payload: object) -> str:
     """Deterministic JSON text: sorted keys, compact separators.
 
@@ -217,12 +205,18 @@ class ResultStore:
         return final
 
     def _temp_path(self, digest: str) -> Path:
-        """A writer-unique temp sibling for the chunk named ``digest``
-        (see :func:`writer_temp_path`).  Residue from a killed writer is
-        invisible to :meth:`refresh` (it only globs ``*.jsonl``) and gets
-        overwritten-by-rename never, reused never.
+        """A writer-unique temp sibling for the chunk named ``digest``.
+
+        Suffixing pid + a process-local counter guarantees no two writers
+        -- processes sharing one ``--cache-dir``, or threads of one
+        process -- ever open the same temp file, closing the
+        interleaved-write and vanished-temp hazards a name-only temp had.
+        Residue from a killed writer is invisible to :meth:`refresh` (it
+        only globs ``*.jsonl``) and gets overwritten-by-rename never,
+        reused never.
         """
-        return writer_temp_path(self.cache_dir, digest)
+        return (self.cache_dir
+                / f".tmp-{digest}-{os.getpid()}-{next(_TEMP_SEQUENCE)}")
 
     def put(self, result: ExperimentResult) -> "Path | None":
         """Persist a single result (one-entry chunk)."""

@@ -120,21 +120,6 @@ class Cache:
         self.clock = 0
         self._on_fill = on_fill
         self._on_writeback = on_writeback
-        # Optional telemetry tracer (duck-typed; None keeps the mem layer
-        # dependency-free).  Only line *traffic* is counted here -- fault
-        # and strike events belong to the hierarchy, which knows why an
-        # invalidation happened.
-        self._tracer: "object | None" = None
-        # Counter keys precomputed once: bump sites sit on the per-access
-        # hot path and must not format strings per event.
-        self._counter_evictions = f"{name}.evictions"
-        self._counter_writebacks = f"{name}.writebacks"
-        self._counter_fills = f"{name}.fills"
-        self._counter_invalidations = f"{name}.invalidations"
-
-    def attach_tracer(self, tracer: "object | None") -> None:
-        """Route this cache's line-traffic counters to a tracer."""
-        self._tracer = tracer
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -184,10 +169,6 @@ class Cache:
         victim = min(ways, key=_LINE_LAST_USE)
         ways.remove(victim)
         self.stats.evictions += 1
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.counters.bump(self._counter_evictions)
-            if victim.dirty:
-                self._tracer.counters.bump(self._counter_writebacks)
         if victim.dirty:
             self.stats.writebacks += 1
             victim_address = (
@@ -203,8 +184,6 @@ class Cache:
         line = CacheLine(tag=self._tag(line_address), data=data,
                          last_use=self.clock)
         self.sets[set_index].append(line)
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.counters.bump(self._counter_fills)
         if self._on_fill is not None:
             self._on_fill(line_address)
         return line
@@ -304,8 +283,6 @@ class Cache:
             return False
         self.sets[set_index].remove(line)
         self.stats.invalidations += 1
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.counters.bump(self._counter_invalidations)
         return True
 
     def flush(self) -> None:

@@ -176,6 +176,20 @@ class FaultInjector:
         positions = tuple(self._rng.sample(range(bits), k=min(flips, bits)))
         return FaultEvent(bit_positions=positions)
 
+    def draw_fill_fault(self, probability: float,
+                        line_bits: int) -> "int | None":
+        """Decide whether one L2-to-L1 line fill faults, and which bit flips.
+
+        ``probability`` is the per-fill fault probability and
+        ``line_bits`` the line's width in bits.  Returns the flipped
+        bit's position in the line, or ``None`` for a clean fill.  Draws
+        from the stream :meth:`draw` uses; a disabled injector draws
+        nothing and returns ``None``.
+        """
+        if not self.enabled or self._rng.random() >= probability:
+            return None
+        return self._rng.randrange(line_bits)
+
     def record_kind(self, is_write: bool) -> None:
         """Attribute the last drawn fault to a read or a write access."""
         if is_write:

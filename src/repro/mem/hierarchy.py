@@ -65,10 +65,12 @@ state, stall cycles, and energy are identical to the full path, and
 parity/recovery semantics are untouched because they can only act when
 a fault or tracked corruption exists, which is exactly when the lane
 disengages.  Misses and straddling accesses always take the full path
-(fills, telemetry counters, and wild-access handling live here).
+(fills, telemetry events, and wild-access handling live here).
 """
 
 from __future__ import annotations
+
+import weakref
 
 from repro.core import constants
 from repro.core.recovery import NO_DETECTION, OUTCOMES, RecoveryPolicy
@@ -88,6 +90,20 @@ from repro.telemetry.tracer import NULL_TRACER
 #: Shared empty corruption set: ``dict.get`` defaults on the per-access
 #: path must not allocate a fresh frozenset per word.
 _NO_BITS: "frozenset[int]" = frozenset()
+
+
+def weak_callback(method):
+    """The bound ``method``, called through a weak reference to its object.
+
+    A cache holding its owner's bound method would close a reference
+    cycle (owner, cache, method), so a finished run's stack -- its 4 MiB
+    backing store included -- would wait for the cyclic garbage
+    collector.  The function is looked up now, on the object's class, so
+    a subclass's override is the one called.
+    """
+    function = method.__func__
+    owner = weakref.ref(method.__self__)
+    return lambda line_address: function(owner(), line_address)
 
 
 def _garbage_value(address: int, length: int) -> int:
@@ -147,7 +163,6 @@ class MemoryHierarchy:
         self._memory_latency = constants.MEMORY_LATENCY_CYCLES
         self._l1_latency = constants.L1_HIT_LATENCY_CYCLES
         self._l2_latency = constants.L2_HIT_LATENCY_CYCLES
-        self._owns_l2 = shared_l2 is None
         if shared_l2 is not None:
             if shared_memory is None:
                 raise ValueError("a shared L2 requires the shared memory")
@@ -159,11 +174,12 @@ class MemoryHierarchy:
             self.l2 = Cache("L2", constants.L2_SIZE_BYTES,
                             constants.L2_LINE_BYTES,
                             constants.L2_ASSOCIATIVITY,
-                            lower=self.memory, on_fill=self._on_l2_fill)
+                            lower=self.memory,
+                            on_fill=weak_callback(self._on_l2_fill))
         self.l1d = Cache("L1D", l1_size, constants.L1_LINE_BYTES,
-                         l1_associativity,
-                         lower=self.l2, on_fill=self._on_l1_fill,
-                         on_writeback=self._on_l1_line_leaves)
+                         l1_associativity, lower=self.l2,
+                         on_fill=weak_callback(self._on_l1_fill),
+                         on_writeback=weak_callback(self._on_l1_line_leaves))
         self._cycle_time = cycle_time
         #: word-aligned address -> positions (0..31) where the stored L1
         #: data disagrees with what the check bits were generated from.
@@ -189,8 +205,7 @@ class MemoryHierarchy:
         #: Engine id stamped on emitted events (multicore sets it).
         self.engine_id = 0
         #: Accesses served by the fault-free fast lane (aggregates; the
-        #: lane itself stays event-free, experiment teardown exports
-        #: these as telemetry gauges).
+        #: lane itself stays event-free).
         self.fast_reads = 0
         self.fast_writes = 0
         #: Fault-free accesses leased from the injector but not yet
@@ -201,17 +216,9 @@ class MemoryHierarchy:
     # -- telemetry ---------------------------------------------------------------
 
     def attach_tracer(self, tracer, engine_id: int = 0) -> None:
-        """Route this hierarchy's events (and cache counters) to a tracer.
-
-        A shared L2 (multicore) is left untouched -- its owner attaches it
-        once so per-engine attachment does not double-count its traffic.
-        """
+        """Route this hierarchy's events to a tracer, stamped ``engine_id``."""
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.engine_id = engine_id
-        self.processor.tracer = self.tracer
-        self.l1d.attach_tracer(self.tracer)
-        if self._owns_l2:
-            self.l2.attach_tracer(self.tracer)
 
     def _trace_fault(self, address: int, is_write: bool,
                      event: FaultEvent) -> None:
@@ -290,14 +297,14 @@ class MemoryHierarchy:
         self.processor.stall(self._l2_latency)
         self.stall_cycles_l2 += self._l2_latency
         self.processor.energy.charge_l2_access()
-        if (self._l2_fill_fault_probability > 0
-                and self.injector.enabled
-                and self.injector._rng.random()
-                < self._l2_fill_fault_probability):
+        if self._l2_fill_fault_probability <= 0:
+            return
+        bit = self.injector.draw_fill_fault(self._l2_fill_fault_probability,
+                                            self.l1d.line_size * 8)
+        if bit is not None:
             # A fault on the L2 side corrupts the delivered line before
             # the L1 generates its check bits: self-consistent corruption
             # no L1-side protection can detect (hence untracked).
-            bit = self.injector._rng.randrange(self.l1d.line_size * 8)
             offset = bit // 8
             if self.l1d.contains(line_address + offset):
                 byte = self.l1d.poke_read(line_address + offset, 1)[0]

@@ -4,10 +4,9 @@ The harness reaches this module by name, through
 :func:`~repro.harness.experiment.replay_backend`, since replay sits
 above it in the layer DAG: the campaign engine hands it each chunk's
 ``backend="replay"`` configs (:func:`run_replay`), the golden cache
-warms a workload's trace on a miss (:func:`warm`), and the CLI points
-trace persistence at its cache directory (:func:`configure_backend`)
-and reports fallbacks (:func:`fallback_reasons`).  A batch of configs
-is served trace-first: each config's workload trace is
+warms a workload's trace on a miss (:func:`warm`), and the CLI reports
+fallbacks (:func:`fallback_reasons`).  A batch of configs is served
+trace-first: each config's workload trace is
 recorded (or fetched from the :class:`~repro.replay.trace.TraceStore`)
 and handed to :func:`~repro.replay.replayer.replay_trace`; configs the
 replayer declines -- a static refusal
@@ -17,14 +16,10 @@ faithful :func:`~repro.harness.experiment.run_experiment`, so the
 backend is *always correct* and merely usually fast.  Each fallback is
 counted under its reason (:func:`fallback_reasons`).
 
-The module-level trace store is process-wide by default (in-memory
-memo); the CLI points it at ``<cache_dir>/traces`` so traces persist
-next to the result store.
+The module-level trace store is one in-memory memo per process.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult, run_experiment
@@ -51,26 +46,12 @@ def trace_store() -> TraceStore:
 def set_trace_store(store: TraceStore) -> TraceStore:
     """Swap the process-wide trace store (returns the previous one).
 
-    The CLI calls this with a disk-backed store when ``--cache-dir``
-    is given; tests call it with a scratch store for isolation.
+    Tests call this with a scratch store for isolation.
     """
     global _TRACE_STORE
     previous = _TRACE_STORE
     _TRACE_STORE = store
     return previous
-
-
-def configure_backend(cache_dir: "str | None") -> None:
-    """Point trace persistence at ``<cache_dir>/traces`` (or memory).
-
-    With a cache directory, recorded traces live on disk next to the
-    result store and survive across processes; without one, the store
-    reverts to the in-memory process-wide memo.
-    """
-    if cache_dir is None:
-        set_trace_store(TraceStore())
-    else:
-        set_trace_store(TraceStore(Path(cache_dir) / "traces"))
 
 
 def warm(config: ExperimentConfig) -> None:

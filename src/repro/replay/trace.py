@@ -13,28 +13,18 @@ that workload: the replayer re-prices the same event stream under each
 configuration's clock and protection code and layers a sampled fault
 model on top (see :mod:`repro.replay.replayer`).
 
-Traces are content-addressed exactly like experiment results: the key
-is the SHA-256 of the :data:`~repro.harness.store.CODE_VERSION` salt
-plus the canonical JSON of the workload-identity fields -- bumping the
-code version invalidates recorded traces and cached results together.
-The :class:`TraceStore` keeps an in-process cache and optionally
-persists ``.npz`` archives next to the result store.
+The :class:`TraceStore` is a per-process memo keyed by the workload
+identity (:func:`trace_key`): a sweep records each workload's trace
+once and replays it for every config.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.store import CODE_VERSION, canonical_json, writer_temp_path
 from repro.mem.allocator import Region
 
 #: Event kinds, in the ``kind`` array.  WORK charges abstract
@@ -60,13 +50,9 @@ TRACE_IDENTITY_FIELDS = (
 )
 
 
-def trace_key(config: ExperimentConfig,
-              salt: str = CODE_VERSION) -> str:
-    """Content address of the trace ``config``'s workload produces."""
-    payload = config.to_json()
-    identity = {name: payload[name] for name in TRACE_IDENTITY_FIELDS}
-    text = salt + "\n" + canonical_json(identity)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def trace_key(config: ExperimentConfig) -> tuple:
+    """The workload identity ``config``'s trace is memoised under."""
+    return tuple(getattr(config, name) for name in TRACE_IDENTITY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -105,123 +91,24 @@ class Trace:
             return self.n_events
         return int(self.packet_starts[packet])
 
-    def meta_json(self) -> "dict[str, object]":
-        """JSON-safe metadata (everything but the event arrays)."""
-        return {
-            "offered_packets": self.offered_packets,
-            "regions": [{"label": region.label, "address": region.address,
-                         "size": region.size} for region in self.regions],
-            "static_ranges": [[start, end]
-                              for start, end in self.static_ranges],
-        }
-
-    def save(self, path: "Path | str") -> Path:
-        """Persist as a compressed ``.npz`` archive (atomic replace).
-
-        The archive is written to a writer-unique temp sibling (see
-        :func:`~repro.harness.store.writer_temp_path`) and renamed into
-        place, so processes saving one trace into a shared cache
-        directory never share a temp file; their renames race benignly
-        (identical bytes to an identical name).
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = writer_temp_path(path.parent, path.name)
-        with open(temp, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                kind=self.kind, address=self.address, width=self.width,
-                count=self.count, static=self.static,
-                packet_starts=self.packet_starts,
-                meta=np.array([json.dumps(self.meta_json())]))
-        os.replace(temp, path)
-        return path
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "Trace":
-        """Rebuild a trace from a :meth:`save` archive."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"][0]))
-            return cls(
-                kind=data["kind"], address=data["address"],
-                width=data["width"], count=data["count"],
-                static=data["static"],
-                packet_starts=data["packet_starts"],
-                offered_packets=int(meta["offered_packets"]),
-                regions=tuple(Region(**region)
-                              for region in meta["regions"]),
-                static_ranges=tuple((int(start), int(end))
-                                    for start, end in meta["static_ranges"]),
-            )
-
 
 class TraceStore:
-    """Content-addressed trace cache: in-process, optionally on disk.
+    """Per-process trace memo: one recording per workload identity."""
 
-    Without a directory the store is a per-process memo (the common
-    case: one sweep records each workload's trace once and replays it
-    for every config).  With a directory -- conventionally
-    ``<cache_dir>/traces`` next to the result store -- traces persist
-    across processes as ``trace-<digest12>.npz`` archives, written
-    atomically like result chunks.
-    """
-
-    def __init__(self, directory: "Path | str | None" = None,
-                 salt: str = CODE_VERSION) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self.salt = salt
-        self._traces: "dict[str, Trace]" = {}
-        #: Traces recorded (not cache-served) through this store.
+    def __init__(self) -> None:
+        self._traces: "dict[tuple, Trace]" = {}
+        #: Traces recorded (not memo-served) through this store.
         self.recordings = 0
-
-    def key_for(self, config: ExperimentConfig) -> str:
-        """This store's content address for ``config``'s trace."""
-        return trace_key(config, salt=self.salt)
-
-    def _path_for(self, key: str) -> "Path | None":
-        if self.directory is None:
-            return None
-        return self.directory / f"trace-{key[:12]}.npz"
-
-    def get(self, config: ExperimentConfig) -> "Trace | None":
-        """The cached trace for ``config``'s workload, or ``None``."""
-        key = self.key_for(config)
-        trace = self._traces.get(key)
-        if trace is not None:
-            return trace
-        path = self._path_for(key)
-        if path is not None and path.exists():
-            try:
-                trace = Trace.load(path)
-            except (OSError, EOFError, KeyError, ValueError,
-                    zipfile.BadZipFile, zlib.error):
-                return None  # corrupt archive: re-record
-            self._traces[key] = trace
-            return trace
-        return None
-
-    def put(self, config: ExperimentConfig, trace: Trace) -> None:
-        """File ``trace`` under ``config``'s workload identity."""
-        key = self.key_for(config)
-        self._traces[key] = trace
-        path = self._path_for(key)
-        if path is not None:
-            trace.save(path)
 
     def get_or_record(self, config: ExperimentConfig) -> Trace:
         """The trace for ``config``, recording it on first use."""
-        trace = self.get(config)
-        if trace is not None:
-            return trace
-        from repro.replay.record import record_trace
-        trace = record_trace(config)
-        self.recordings += 1
-        self.put(config, trace)
+        key = trace_key(config)
+        trace = self._traces.get(key)
+        if trace is None:
+            from repro.replay.record import record_trace
+            trace = self._traces[key] = record_trace(config)
+            self.recordings += 1
         return trace
-
-    def clear(self) -> None:
-        """Drop the in-process cache (disk archives are kept)."""
-        self._traces.clear()
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -46,7 +46,7 @@ from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache
 from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import FaultInjector
-from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy, weak_callback
 from repro.mem.view import MemView
 from repro.core import constants
 from repro.telemetry.events import FatalError, PacketDone
@@ -104,10 +104,8 @@ class MulticoreSystem:
         self.l2 = Cache("L2", constants.L2_SIZE_BYTES,
                         constants.L2_LINE_BYTES,
                         constants.L2_ASSOCIATIVITY,
-                        lower=self.memory, on_fill=self._on_l2_fill)
-        # The shared L2 is attached once here; per-engine attachment
-        # deliberately skips shared caches.
-        self.l2.attach_tracer(self.tracer)
+                        lower=self.memory,
+                        on_fill=weak_callback(self._on_l2_fill))
         self.engines: "list[EngineState]" = []
         model = FaultModel.calibrated()
         for index in range(core_count):

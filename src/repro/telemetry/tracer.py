@@ -79,8 +79,6 @@ class Tracer:
         self.epoch_packets = epoch_packets
         self.events: "list[TraceEvent]" = []
         self.counters = CounterSet()
-        #: Name -> value snapshots recorded once (e.g. totals at finalize).
-        self.gauges: "dict[str, float]" = {}
         #: Line base address -> detected strikes against that line.
         self.strikes_per_line: "dict[int, int]" = {}
         self.packet_latency = FixedHistogram(latency_bounds)

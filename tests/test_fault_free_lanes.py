@@ -83,14 +83,22 @@ REPLAY_PACKETS = 110
 
 
 def trace_digest(trace) -> str:
-    """sha256 over the six event arrays (dtype and bytes) and the meta."""
+    """sha256 over the six event arrays (dtype and bytes) and the meta:
+    packet count, allocated regions and static ranges."""
     digest = hashlib.sha256()
     for name in ("kind", "address", "width", "count", "static",
                  "packet_starts"):
         array = getattr(trace, name)
         digest.update(f"{name}:{array.dtype}:{len(array)}:".encode())
         digest.update(array.tobytes())
-    digest.update(canonical_json(trace.meta_json()).encode())
+    meta = {
+        "offered_packets": trace.offered_packets,
+        "regions": [{"label": region.label, "address": region.address,
+                     "size": region.size} for region in trace.regions],
+        "static_ranges": [[start, end]
+                          for start, end in trace.static_ranges],
+    }
+    digest.update(canonical_json(meta).encode())
     return digest.hexdigest()
 
 
@@ -454,17 +462,13 @@ class TestOneFaultFreeRunPerWorkload:
         assert (store.recordings, len(store)) == (0, 0)
         assert executions == [config.golden()]
 
-    def test_stored_trace_leaves_golden_to_a_plain_run(self, runs,
-                                                       tmp_path):
-        _, executions = runs
-        TraceStore(tmp_path).get_or_record(self.CONFIG)
+    def test_stored_trace_leaves_golden_to_a_plain_run(self, runs):
+        store, executions = runs
+        store.get_or_record(self.CONFIG)
         clear_golden_cache()
-        reader = TraceStore(tmp_path)
-        set_trace_store(reader)
         observations = golden_observations(load_workload(self.CONFIG),
                                            self.CONFIG)
-        assert reader.recordings == 0
-        assert executions == [self.CONFIG.golden()]
+        assert (store.recordings, executions) == (1, [self.CONFIG.golden()])
         assert observations == self.executed_golden(self.CONFIG)
 
 

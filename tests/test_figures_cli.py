@@ -188,8 +188,10 @@ class TestCli:
                      "--seeds", "2"]) == 0
         assert "fallbacks" not in capsys.readouterr().err
 
-    def test_replay_traces_persist_under_cache_dir(self, tmp_path,
-                                                   capsys):
+    def test_replay_cache_dir_holds_only_result_chunks(self, tmp_path,
+                                                       capsys):
+        # Traces live in process memory: the cache directory holds
+        # results and nothing else.
         from repro.replay import TraceStore, set_trace_store
 
         previous = set_trace_store(TraceStore())
@@ -200,4 +202,7 @@ class TestCli:
         finally:
             set_trace_store(previous)
         capsys.readouterr()
-        assert list((tmp_path / "traces").glob("trace-*.npz"))
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names
+        assert all(name.startswith("chunk-") and name.endswith(".jsonl")
+                   for name in names), names

@@ -1,5 +1,8 @@
 """Experiment harness: config validation, runner semantics, reports."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     clear_golden_cache,
     consecutive_error_runs,
+    execute_workload,
     golden_observations,
     load_workload,
     run_experiment,
@@ -137,6 +141,21 @@ class TestRunner:
             assert result.error_probability(category) == pytest.approx(
                 count / result.processed_packets)
         assert result.error_probability("fatal") == result.fatal_probability
+
+    def test_finished_run_is_freed_by_reference_counting(self):
+        # No reference cycle holds a run's stack, so its backing store
+        # goes with the outcome, not at the next cyclic collection.
+        config = ExperimentConfig(app="crc", packet_count=10, seed=7,
+                                  l2_fill_fault_probability=0.01)
+        workload = load_workload(config)
+        gc.disable()
+        try:
+            outcome = execute_workload(workload, config, faulty=True)
+            memory = weakref.ref(outcome.hierarchy.memory)
+            del outcome
+            assert memory() is None
+        finally:
+            gc.enable()
 
 
 class TestConsecutiveErrorRuns:

@@ -1,10 +1,10 @@
-"""The replay backend: recorder determinism, trace round-trips, twins.
+"""The replay backend: recorder determinism, the trace memo, twins.
 
 Three layers of guarantees, tested bottom-up:
 
 * the **recorder** is a pure function of the workload identity -- two
   recordings of the same config produce byte-identical event arrays,
-  and the ``.npz`` round-trip preserves them exactly;
+  and the store memoises one recording per workload;
 * the **replayer** is bit-exact against faithful execution wherever no
   fault law is active (the fault-free contract the oracle's replay twin
   enforces exactly), and falls back -- rather than approximating -- on
@@ -20,8 +20,6 @@ The statistical (faulted) contract is the oracle's job -- see
 from __future__ import annotations
 
 import dataclasses
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +39,6 @@ from repro.replay import (
     trace_key,
     trace_store,
 )
-from repro.replay.backend import configure_backend
 from repro.replay.replayer import decline_reason
 from tests.strategies import make_config
 
@@ -85,23 +82,10 @@ def _assert_same_trace(first: Trace, second: Trace) -> None:
     assert first.static_ranges == second.static_ranges
 
 
-def _save_repeatedly(arguments: "tuple[str, str, int]") -> None:
-    """Worker: load one archive, then save it ``count`` times to one path."""
-    source, target, count = arguments
-    trace = Trace.load(source)
-    for _ in range(count):
-        trace.save(target)
-
-
 class TestRecorder:
     def test_recording_is_deterministic(self):
         config = _fault_free()
         _assert_same_trace(record_trace(config), record_trace(config))
-
-    def test_trace_round_trips_through_npz(self, tmp_path):
-        trace = record_trace(_fault_free())
-        path = trace.save(tmp_path / "trace.npz")
-        _assert_same_trace(Trace.load(path), trace)
 
     def test_trace_key_ignores_replay_parametrisation(self):
         base = _fault_free()
@@ -112,118 +96,12 @@ class TestRecorder:
         assert trace_key(base) != trace_key(
             base.with_options(packet_count=30))
 
-    def test_store_round_trips_through_disk(self, tmp_path):
-        config = _fault_free()
-        writer = TraceStore(tmp_path)
-        recorded = writer.get_or_record(config)
-        assert writer.recordings == 1
-        # A fresh store sharing the directory serves from disk.
-        reader = TraceStore(tmp_path)
-        loaded = reader.get(config)
-        assert loaded is not None
-        assert reader.recordings == 0
-        np.testing.assert_array_equal(loaded.kind, recorded.kind)
-
-    def test_store_memoises_in_process(self, tmp_path):
-        store = TraceStore(tmp_path)
+    def test_store_memoises_in_process(self):
+        store = TraceStore()
         config = _fault_free()
         first = store.get_or_record(config)
         assert store.get_or_record(config) is first
         assert store.recordings == 1
-
-    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte",
-                                        "empty"])
-    def test_corrupt_archive_is_re_recorded(self, tmp_path, damage):
-        config = _fault_free()
-        original = TraceStore(tmp_path).get_or_record(config)
-        (path,) = tmp_path.glob("trace-*.npz")
-        data = path.read_bytes()
-        middle = len(data) // 2
-        path.write_bytes({
-            "truncated": data[:middle],
-            "flipped-byte": (data[:middle] + bytes([data[middle] ^ 0xFF])
-                             + data[middle + 1:]),
-            "empty": b"",
-        }[damage])
-        store = TraceStore(tmp_path)
-        assert store.get(config) is None
-        _assert_same_trace(store.get_or_record(config), original)
-        assert store.recordings == 1
-        # The re-recording replaced the damaged archive on disk.
-        reloaded = TraceStore(tmp_path).get(config)
-        assert reloaded is not None
-        _assert_same_trace(reloaded, original)
-
-
-class TestConcurrentTraceWriters:
-    """Regression: writers saving one trace archive must not collide.
-
-    The hazard: ``Trace.save`` wrote through the fixed temp name
-    ``.tmp-<name>``, so two processes saving one trace into a shared
-    ``--cache-dir`` shared a temp file; the second rename found it gone
-    and the ``FileNotFoundError`` killed the sweep.  Temp names are now
-    unique per writer (pid + process-local sequence), as the result
-    store's are.
-    """
-
-    def test_temp_paths_unique_across_saves(self, tmp_path, monkeypatch):
-        trace = record_trace(_fault_free())
-        real_replace = os.replace
-        temps = []
-
-        def replace(source, destination):
-            temps.append(Path(source))
-            real_replace(source, destination)
-
-        monkeypatch.setattr(os, "replace", replace)
-        for _ in range(5):
-            trace.save(tmp_path / "trace-abc.npz")
-        assert len(set(temps)) == 5  # no writer ever shares a temp file
-        for path in temps:
-            assert path.parent == tmp_path
-            assert path.name.startswith(".tmp-")
-            assert not path.match("*.npz")  # invisible to the store
-
-    def test_interleaved_saves_converge(self, tmp_path, monkeypatch):
-        """A second writer saving the same archive between the first
-        writer's temp write and its rename leaves one loadable archive."""
-        trace = record_trace(_fault_free())
-        target = tmp_path / "trace.npz"
-        real_replace = os.replace
-        interleaved = []
-
-        def replace(source, destination):
-            if not interleaved:
-                interleaved.append(source)
-                trace.save(target)  # the other writer runs to completion
-            real_replace(source, destination)
-
-        monkeypatch.setattr(os, "replace", replace)
-        trace.save(target)
-        assert interleaved
-        assert not list(tmp_path.glob(".tmp-*"))
-        _assert_same_trace(Trace.load(target), trace)
-
-    def test_concurrent_processes_saving_one_trace(self, tmp_path):
-        """Writer processes (more than cores on a small host, capped to
-        keep the test light) save one archive into one directory: every
-        save succeeds and one loadable archive stays."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        trace = record_trace(_fault_free())
-        source = trace.save(tmp_path / "source.npz")
-        shared = tmp_path / "shared"
-        target = shared / "trace.npz"
-        writers = min((os.cpu_count() or 1) + 1, 4)
-        with ProcessPoolExecutor(
-                max_workers=writers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            list(pool.map(_save_repeatedly,
-                          [(str(source), str(target), 100)] * writers,
-                          timeout=300))
-        assert [path.name for path in shared.iterdir()] == ["trace.npz"]
-        _assert_same_trace(Trace.load(target), trace)
 
 
 class TestReplayExactTwin:
@@ -331,13 +209,3 @@ class TestBackendPlumbing:
         results = engine.run(configs)
         assert [r.config for r in results] == configs
         assert _outcome(results[0]) == _outcome(results[1])
-
-    def test_configure_backend_points_store_at_cache(self, tmp_path):
-        previous = set_trace_store(TraceStore())
-        try:
-            configure_backend(str(tmp_path))
-            assert trace_store().directory == tmp_path / "traces"
-            configure_backend(None)
-            assert trace_store().directory is None
-        finally:
-            set_trace_store(previous)

@@ -90,9 +90,7 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_json(payload)
 
-    def test_json_names_every_field_but_the_tracer(self):
-        # Every field, in field order: a tracer is run_experiment's
-        # argument, not a config field.
+    def test_json_names_every_field_in_order(self):
         config = ExperimentConfig(app="tl", packet_count=5)
         fields = list(config.__dataclass_fields__)
         assert list(config.to_json()) == fields

@@ -12,7 +12,7 @@ from repro.core.metrics import MetricExponents
 from repro.core.recovery import NO_DETECTION, TWO_STRIKE, RecoveryPolicy
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.report import render_table
+from repro.util.text import render_table
 from repro.mem.faults import FaultInjector
 
 PACKETS = 300

@@ -10,7 +10,7 @@ when an epoch shows a fault burst.
 from repro.core.recovery import TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.report import render_table
+from repro.util.text import render_table
 
 PACKETS = 600
 SEEDS = (3, 7, 11)

@@ -18,7 +18,7 @@ from repro.core.recovery import (
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.report import render_table
+from repro.util.text import render_table
 from repro.harness.vulnerability import attribute_faults, render_vulnerability
 from repro.system.multicore import run_multicore
 

@@ -48,7 +48,7 @@ class TestFig7Nat:
 
 
 def _render(data, title):
-    from repro.harness.report import render_table
+    from repro.util.text import render_table
     blocks = []
     for plane, by_cycle in data.items():
         categories = sorted({category

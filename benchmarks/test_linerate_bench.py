@@ -3,7 +3,7 @@
 from repro.core.recovery import TWO_STRIKE
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.report import render_table
+from repro.util.text import render_table
 from repro.system.linerate import (
     loss_curve,
     sustainable_cycles_per_packet,

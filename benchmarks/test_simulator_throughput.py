@@ -244,8 +244,13 @@ class TestReplayBackendThroughput:
     REPEATS = 5
 
     def test_replay_speedup_on_fig9_12_sweep(self, once, artifact_dir):
-        from repro.replay import TraceStore, set_trace_store, trace_store
-        from repro.replay.backend import fallback_reasons, run_replay
+        from repro.replay.backend import (
+            fallback_reasons,
+            run_replay,
+            set_trace_store,
+            trace_store,
+        )
+        from repro.replay.trace import TraceStore
 
         packets = int(os.environ.get("REPRO_THROUGHPUT_PACKETS", "60"))
         blocks = {backend: {app: _fig9_12_configs(app, packets, backend)

@@ -9,7 +9,7 @@ Workflow this example demonstrates:
    are dangerous for this workload, per injected fault?
 """
 
-from repro.core import NO_DETECTION, TWO_STRIKE
+from repro.core.recovery import NO_DETECTION, TWO_STRIKE
 from repro.harness.campaign import render_campaign, run_campaign
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment

@@ -20,8 +20,8 @@ It demonstrates the full extension surface:
 
 from repro.apps.base import Environment, NetBenchApp
 from repro.apps.app_tl import read_destination
-from repro.core import NO_DETECTION, TWO_STRIKE
 from repro.core.fault_model import FaultModel
+from repro.core.recovery import NO_DETECTION, TWO_STRIKE
 from repro.cpu.processor import Processor
 from repro.mem.allocator import BumpAllocator
 from repro.mem.faults import FaultInjector

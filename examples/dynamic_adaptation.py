@@ -8,7 +8,9 @@ counts stay low, and backs off when an epoch shows a fault burst
 (X1 = 200% / X2 = 80% thresholds, 100-packet epochs).
 """
 
-from repro import ExperimentConfig, NO_DETECTION, TWO_STRIKE, run_experiment
+from repro.core.recovery import NO_DETECTION, TWO_STRIKE
+from repro.harness.config import ExperimentConfig
+from repro.harness.experiment import run_experiment
 
 
 def trajectory_line(history) -> str:

@@ -19,8 +19,10 @@ Usage::
 
 import sys
 
-from repro import ExperimentConfig, NO_DETECTION, TWO_STRIKE, run_experiment
 from repro.core.optimum import OperatingPointModel
+from repro.core.recovery import NO_DETECTION, TWO_STRIKE
+from repro.harness.config import ExperimentConfig
+from repro.harness.experiment import run_experiment
 from repro.harness.profile import profile_workload
 
 FAULT_SCALE = 20.0

@@ -13,8 +13,10 @@ Usage::
 
 import sys
 
-from repro import ALL_POLICIES, ExperimentConfig, NO_DETECTION, run_experiment
 from repro.core.constants import RELATIVE_CYCLE_LEVELS
+from repro.core.recovery import ALL_POLICIES, NO_DETECTION
+from repro.harness.config import ExperimentConfig
+from repro.harness.experiment import run_experiment
 
 
 def main() -> None:

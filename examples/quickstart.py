@@ -6,7 +6,9 @@ best recovery scheme (two-strike), compares it against the safe baseline,
 and prints the paper's metrics.
 """
 
-from repro import ExperimentConfig, NO_DETECTION, TWO_STRIKE, run_experiment
+from repro.core.recovery import NO_DETECTION, TWO_STRIKE
+from repro.harness.config import ExperimentConfig
+from repro.harness.experiment import run_experiment
 
 
 def main() -> None:

@@ -8,9 +8,10 @@ simulated processor and memory hierarchy, seven NetBench application
 kernels, the detection/recovery and dynamic frequency-adaptation schemes,
 and a harness that regenerates every table and figure of the evaluation.
 
-Quick start::
+Importing the package root loads nothing else; :mod:`repro.api` is the
+stable import surface.  Quick start::
 
-    from repro import ExperimentConfig, run_experiment, TWO_STRIKE
+    from repro.api import ExperimentConfig, TWO_STRIKE, run_experiment
 
     result = run_experiment(ExperimentConfig(
         app="route", cycle_time=0.5, policy=TWO_STRIKE))
@@ -20,64 +21,4 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    ALL_POLICIES,
-    DynamicFrequencyController,
-    EnergyAccount,
-    EnergyModel,
-    FaultModel,
-    FrequencyLadder,
-    MetricExponents,
-    NO_DETECTION,
-    NoiseImmunityModel,
-    ONE_STRIKE,
-    PAPER_EXPONENTS,
-    RecoveryPolicy,
-    THREE_STRIKE,
-    TWO_STRIKE,
-    VoltageSwingModel,
-    default_fault_model,
-    energy_delay_fallibility,
-    fallibility_factor,
-    policy_by_name,
-)
-from repro.harness import (
-    CampaignEngine,
-    ExperimentConfig,
-    ExperimentResult,
-    ResultStore,
-    run_experiment,
-)
-from repro.telemetry import NULL_TRACER, Tracer
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ALL_POLICIES",
-    "CampaignEngine",
-    "DynamicFrequencyController",
-    "EnergyAccount",
-    "EnergyModel",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FaultModel",
-    "FrequencyLadder",
-    "MetricExponents",
-    "NO_DETECTION",
-    "NULL_TRACER",
-    "NoiseImmunityModel",
-    "ONE_STRIKE",
-    "PAPER_EXPONENTS",
-    "RecoveryPolicy",
-    "ResultStore",
-    "THREE_STRIKE",
-    "TWO_STRIKE",
-    "Tracer",
-    "VoltageSwingModel",
-    "__version__",
-    "default_fault_model",
-    "energy_delay_fallibility",
-    "fallibility_factor",
-    "policy_by_name",
-    "run_experiment",
-]

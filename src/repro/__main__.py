@@ -1,10 +1,12 @@
-"""``python -m repro`` entry point.
+"""``python -m repro`` entry point, and the installed ``repro`` command.
 
 Artifact regeneration, tracing, and linting dispatch to the harness CLI
 (:mod:`repro.harness.cli`).  The ``check`` subcommand dispatches here,
 at the package root, because the verification oracle
 (:mod:`repro.oracle`) sits *above* the harness in the layering DAG --
-the harness CLI cannot import it.
+the harness CLI cannot import it.  ``pyproject.toml`` points the
+``repro`` console script at :func:`main`, so both spellings run every
+subcommand.
 """
 
 import sys

@@ -17,29 +17,3 @@ The subsystem is standalone by design -- it imports nothing from the
 simulator, so the linter can never be perturbed by the code it audits.
 See docs/LINTING.md for the rule catalogue and suppression grammar.
 """
-
-from repro.analysis.base import (
-    FileContext,
-    RULE_REGISTRY,
-    Rule,
-    register,
-)
-from repro.analysis.engine import (
-    lint_paths,
-    lint_source,
-    make_rules,
-    module_name_for,
-)
-from repro.analysis.findings import Finding
-
-__all__ = [
-    "FileContext",
-    "Finding",
-    "RULE_REGISTRY",
-    "Rule",
-    "lint_paths",
-    "lint_source",
-    "make_rules",
-    "module_name_for",
-    "register",
-]

@@ -25,8 +25,9 @@ from typing import Iterator
 from repro.analysis.base import FileContext, Rule, register
 from repro.analysis.findings import Finding
 
-#: layer -> layers it may import.  ``repro`` is the package root
-#: (``__init__``/``__main__``), which wires everything together.
+#: layer -> layers it may import.  ``repro`` is the package root:
+#: ``__init__`` imports nothing, and ``__main__`` dispatches to the
+#: harness and oracle command lines.
 LAYER_DAG: "dict[str, frozenset[str]]" = {
     "util": frozenset(),
     "net": frozenset({"util"}),

@@ -34,10 +34,11 @@ use:
   ``to_json``/``from_json``);
 * **execution backends** -- :data:`BACKEND_NAMES` (``"execute"`` runs
   the faithful kernel, ``"replay"`` re-prices a recorded trace; select
-  via ``ExperimentConfig(backend=...)``) and the trace-replay
-  machinery: :class:`Trace`, :class:`TraceStore`, :func:`trace_key`,
-  :func:`record_trace`, :func:`replay_trace`, :func:`trace_store` /
-  :func:`set_trace_store`;
+  via ``ExperimentConfig(backend=...)`` and run through
+  :meth:`CampaignEngine.run`).  The trace-replay machinery itself stays
+  in :mod:`repro.replay.record`, :mod:`repro.replay.replayer`,
+  :mod:`repro.replay.trace` and :mod:`repro.replay.backend`, the only
+  modules that import numpy, so importing this facade loads no numpy;
 * **sweeps and campaigns** -- :class:`CampaignEngine`,
   :func:`default_engine`, :func:`map_parallel`;
 * **persistence** -- :class:`ResultStore`, :func:`config_key`,
@@ -99,15 +100,6 @@ from repro.oracle.invariants import (
     check_invariants,
     register_invariant,
 )
-from repro.replay import (
-    Trace,
-    TraceStore,
-    record_trace,
-    replay_trace,
-    set_trace_store,
-    trace_key,
-    trace_store,
-)
 from repro.system.multicore import MulticoreResult, run_multicore
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -135,8 +127,6 @@ __all__ = [
     "ResultStore",
     "THREE_STRIKE",
     "TWO_STRIKE",
-    "Trace",
-    "TraceStore",
     "Tracer",
     "Violation",
     "canonical_json",
@@ -146,16 +136,11 @@ __all__ = [
     "make_injector",
     "map_parallel",
     "policy_by_name",
-    "record_trace",
     "register_invariant",
     "replay_corpus_entry",
-    "replay_trace",
     "run_check",
     "run_differential",
     "run_experiment",
     "run_fuzz",
     "run_multicore",
-    "set_trace_store",
-    "trace_key",
-    "trace_store",
 ]

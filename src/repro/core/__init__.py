@@ -5,96 +5,3 @@ fault probability), the discrete frequency ladder, the detection/recovery
 policies, the dynamic frequency controller, the energy model, and the
 energy-delay-fallibility comparison metric.
 """
-
-from repro.core.dvs import (
-    DVS_TRANSITION_CYCLES,
-    SpeedEnergyPoint,
-    VoltageScalingModel,
-    compare_techniques,
-)
-from repro.core.dynamic import DynamicFrequencyController
-from repro.core.energy import EnergyAccount, EnergyModel
-from repro.core.fault_model import (
-    DEFAULT_QUARTER_CYCLE_MULTIPLIER,
-    FaultModel,
-    FittedFaultFormula,
-    default_fault_model,
-)
-from repro.core.frequency import (
-    FrequencyLadder,
-    frequency_boost_percent,
-    relative_frequency,
-)
-from repro.core.metrics import (
-    PAPER_EXPONENTS,
-    MetricExponents,
-    energy_delay_fallibility,
-    fallibility_factor,
-    fatal_error_probability,
-    relative_to_baseline,
-)
-from repro.core.optimum import (
-    DEFAULT_ERROR_CONVERSION,
-    OperatingPointModel,
-    PredictedPoint,
-)
-from repro.core.noise import (
-    NoiseAmplitudeDistribution,
-    NoiseDurationDistribution,
-    NoiseImmunityModel,
-    failure_probability,
-)
-from repro.core.recovery import (
-    ALL_POLICIES,
-    EXTENSION_POLICIES,
-    NO_DETECTION,
-    ONE_STRIKE,
-    SECDED,
-    THREE_STRIKE,
-    TWO_STRIKE,
-    TWO_STRIKE_SUB_BLOCK,
-    RecoveryPolicy,
-    policy_by_name,
-)
-from repro.core.voltage import VoltageSwingModel
-
-__all__ = [
-    "ALL_POLICIES",
-    "DVS_TRANSITION_CYCLES",
-    "EXTENSION_POLICIES",
-    "SECDED",
-    "SpeedEnergyPoint",
-    "TWO_STRIKE_SUB_BLOCK",
-    "VoltageScalingModel",
-    "compare_techniques",
-    "DEFAULT_QUARTER_CYCLE_MULTIPLIER",
-    "DynamicFrequencyController",
-    "EnergyAccount",
-    "EnergyModel",
-    "FaultModel",
-    "FittedFaultFormula",
-    "FrequencyLadder",
-    "MetricExponents",
-    "NO_DETECTION",
-    "NoiseAmplitudeDistribution",
-    "NoiseDurationDistribution",
-    "NoiseImmunityModel",
-    "ONE_STRIKE",
-    "OperatingPointModel",
-    "PredictedPoint",
-    "DEFAULT_ERROR_CONVERSION",
-    "PAPER_EXPONENTS",
-    "RecoveryPolicy",
-    "THREE_STRIKE",
-    "TWO_STRIKE",
-    "VoltageSwingModel",
-    "default_fault_model",
-    "energy_delay_fallibility",
-    "failure_probability",
-    "fallibility_factor",
-    "fatal_error_probability",
-    "frequency_boost_percent",
-    "policy_by_name",
-    "relative_frequency",
-    "relative_to_baseline",
-]

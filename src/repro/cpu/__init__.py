@@ -1,6 +1,1 @@
 """Processor substrate: cycle/energy accounting and fatal-error watchdogs."""
-
-from repro.cpu.processor import Processor
-from repro.cpu.watchdog import FatalExecutionError, Watchdog
-
-__all__ = ["FatalExecutionError", "Processor", "Watchdog"]

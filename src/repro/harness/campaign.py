@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.report import render_table
+from repro.util.text import render_table
 from repro.harness.vulnerability import merge_buffer_labels
 from repro.mem.faults import FaultEvent, FaultInjector
 

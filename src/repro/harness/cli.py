@@ -10,16 +10,11 @@ Usage::
     python -m repro fig9a --backend replay
     python -m repro trace route --packets 200
     python -m repro lint --format json
-    python -m repro check --quick
 
 Experiment ids follow DESIGN.md's experiment index.  ``trace`` is a
 subcommand (see :mod:`repro.harness.tracecmd`): it runs one traced
 experiment and exports its telemetry event log.  ``lint`` runs
 reprolint, the AST-based invariant linter (see :mod:`repro.analysis`).
-``check`` runs the verification oracle (see :mod:`repro.oracle` and
-docs/VERIFICATION.md) -- it is dispatched by :mod:`repro.__main__`, not
-here, because the oracle layer sits above the harness and this module
-must not import it.
 
 Caching: ``--cache-dir PATH`` routes every simulation through the
 content-addressed result store (see :mod:`repro.harness.store`), so a
@@ -52,6 +47,8 @@ from repro.harness.experiment import replay_backend
 from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore
 from repro.mem.faults import INJECTOR_NAMES
+from repro.util.text import render_table
+
 
 def _edf_renderer(app: str, figure_name: str):
     def render(packets: int, seeds: "tuple[int, ...]",
@@ -125,7 +122,6 @@ def _render_optimum(packets: int, seeds: "tuple[int, ...]",
     from repro.core.constants import NETBENCH_APPS
     from repro.harness.config import ExperimentConfig
     from repro.harness.profile import profile_workload
-    from repro.harness.report import render_table
 
     observed_runs = engine.run([ExperimentConfig(
         app=app, packet_count=packets, seed=seeds[0], cycle_time=0.25,
@@ -152,7 +148,6 @@ def _render_optimum(packets: int, seeds: "tuple[int, ...]",
 def _render_dvs() -> str:
     """Clumsy over-clocking vs DVS comparison table."""
     from repro.core.dvs import compare_techniques
-    from repro.harness.report import render_table
 
     rows = []
     for frequency in (1.0, 4 / 3, 2.0, 4.0):
@@ -173,7 +168,6 @@ def _render_multicore(packets: int, seeds: "tuple[int, ...]",
     so the injector and backend selections do not apply and are
     ignored)."""
     from repro.core.recovery import TWO_STRIKE
-    from repro.harness.report import render_table
     from repro.system.multicore import run_multicore
 
     rows = []
@@ -264,11 +258,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
         return lint_main(argv[1:])
-    if argv and argv[0] == "check":
-        # Layering: the oracle imports the harness, never the reverse.
-        print("repro check is dispatched by 'python -m repro check' "
-              "(repro.__main__), not the harness CLI", file=sys.stderr)
-        return 2
     renderers = _experiment_renderers()
     parser = argparse.ArgumentParser(
         prog="repro",

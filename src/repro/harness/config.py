@@ -122,7 +122,7 @@ class ExperimentConfig:
         MemView fast lane.  This is the one sanctioned way to build a
         reference run (the profiler and the golden cache both use it).
         The golden cache has one other sanctioned source: the replay
-        backend's trace recording (:func:`repro.replay.record_trace`)
+        backend's trace recording (:func:`repro.replay.record.record_trace`)
         is a fault-free run of the same workload and hands its
         observations over through
         :func:`repro.harness.experiment.remember_golden`.

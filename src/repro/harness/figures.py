@@ -18,7 +18,7 @@ from repro.core.switching import amplitude_histogram, fit_exponential
 from repro.core.voltage import VoltageSwingModel
 from repro.harness.config import DEFAULT_FAULT_SCALE, ExperimentConfig
 from repro.harness.engine import CampaignEngine, default_engine
-from repro.harness.report import render_bar_chart, render_series, render_table
+from repro.util.text import render_bar_chart, render_series, render_table
 
 DEFAULT_SEEDS = (7, 11, 23)
 
@@ -288,9 +288,6 @@ class EdfCell:
     relative_product: float
     fallibility: float
     fatal_runs: int
-    #: 95% t-confidence half-width of the relative product over seeds
-    #: (0 for a single replica).
-    confidence_halfwidth: float = 0.0
 
 
 def edf_products(
@@ -339,14 +336,11 @@ def edf_products(
                 ratios.append(run.product(exponents) / baselines[seed])
                 fallibilities.append(run.fallibility)
                 fatal_runs += 1 if run.fatal else 0
-            from repro.harness.stats import summarize
-            summary = summarize(ratios)
             cells.append(EdfCell(
                 app=app, policy=policy.name, setting=setting,
-                relative_product=summary.mean,
+                relative_product=_mean(ratios),
                 fallibility=_mean(fallibilities),
-                fatal_runs=fatal_runs,
-                confidence_halfwidth=summary.confidence_halfwidth))
+                fatal_runs=fatal_runs))
     return cells
 
 

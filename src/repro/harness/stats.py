@@ -1,95 +1,17 @@
-"""Replica statistics: means, spreads, and confidence intervals.
+"""Two-sample goodness-of-fit statistics, dependency-free.
 
-Fault injection is stochastic, so every behavioural artifact is averaged
-over seed replicas.  This module provides the summary statistics the
-figures and benches use, including Student-t confidence intervals (scipy
-when available, with a small-table fallback so the core library stays
-dependency-light).
+The Kolmogorov-Smirnov and Pearson chi-square helpers below compare
+what two fault injectors produce -- inter-arrival gap samples and
+flip-width counts -- without assuming the law under test.  The oracle's
+stochastic twins (:mod:`repro.oracle.differential`) and the injector
+equivalence tests use them; critical values come from closed forms and
+a small built-in table, so no statistics package is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-#: Two-sided 95% Student-t critical values by degrees of freedom (fallback
-#: when scipy is unavailable); beyond the table the normal 1.96 applies.
-_T_TABLE_95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-               6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-               15: 2.131, 20: 2.086, 30: 2.042}
-
-
-def _critical_value(degrees: int, confidence: float) -> float:
-    try:
-        from scipy import stats as scipy_stats
-        return float(scipy_stats.t.ppf((1 + confidence) / 2, degrees))
-    except ImportError:  # pragma: no cover - scipy is an install extra
-        if confidence != 0.95:
-            raise ValueError(
-                "confidence levels other than 0.95 require scipy")
-        for known in sorted(_T_TABLE_95, reverse=True):
-            if degrees >= known:
-                return _T_TABLE_95[known]
-        return _T_TABLE_95[1]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Mean, spread, and confidence half-width of one measured quantity."""
-
-    count: int
-    mean: float
-    stddev: float
-    confidence_halfwidth: float
-
-    @property
-    def low(self) -> float:
-        """Lower bound of the confidence interval."""
-        return self.mean - self.confidence_halfwidth
-
-    @property
-    def high(self) -> float:
-        """Upper bound of the confidence interval."""
-        return self.mean + self.confidence_halfwidth
-
-    def overlaps(self, other: "Summary") -> bool:
-        """Whether the two confidence intervals intersect."""
-        return self.low <= other.high and other.low <= self.high
-
-
-def summarize(values: "list[float]", confidence: float = 0.95) -> Summary:
-    """Summary statistics of replica measurements.
-
-    A single replica yields a degenerate interval (half-width 0 is wrong
-    statistically, but infinite is useless in a table; the count field
-    lets consumers tell).
-    """
-    if not values:
-        raise ValueError("need at least one value")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    count = len(values)
-    mean = sum(values) / count
-    if count == 1:
-        return Summary(count=1, mean=mean, stddev=0.0,
-                       confidence_halfwidth=0.0)
-    variance = sum((value - mean) ** 2 for value in values) / (count - 1)
-    stddev = math.sqrt(variance)
-    halfwidth = (_critical_value(count - 1, confidence)
-                 * stddev / math.sqrt(count))
-    return Summary(count=count, mean=mean, stddev=stddev,
-                   confidence_halfwidth=halfwidth)
-
-
-def format_summary(summary: Summary, digits: int = 3) -> str:
-    """``mean ± halfwidth`` rendering for report cells."""
-    return (f"{summary.mean:.{digits}f} "
-            f"± {summary.confidence_halfwidth:.{digits}f}")
-
-
-# ---------------------------------------------------------------------------
-# Two-sample goodness-of-fit statistics (injector equivalence tests)
-# ---------------------------------------------------------------------------
 
 def ks_two_sample_statistic(first: "list[float]",
                             second: "list[float]") -> float:

@@ -14,7 +14,7 @@ from repro.core.constants import NETBENCH_APPS, TABLE1_FALLIBILITY
 from repro.core.recovery import NO_DETECTION
 from repro.harness.config import DEFAULT_FAULT_SCALE, ExperimentConfig
 from repro.harness.engine import CampaignEngine, default_engine
-from repro.harness.report import render_table
+from repro.util.text import render_table
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ from repro.core.recovery import ALL_POLICIES, EXTENSION_POLICIES
 from repro.harness.config import PLANES, ExperimentConfig
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import EDF_SETTINGS
-from repro.telemetry import Tracer, render_trace_report, write_csv, write_jsonl
+from repro.telemetry.export import write_csv, write_jsonl
+from repro.telemetry.report import render_trace_report
+from repro.telemetry.tracer import Tracer
 
 #: Defaults tuned so ``python -m repro trace route`` shows the full
 #: event vocabulary (see module docstring).

@@ -159,7 +159,6 @@ class MemoryHierarchy:
         self.injector = injector
         self.policy = policy
         self._l2_fill_fault_probability = l2_fill_fault_probability
-        self.l2_fill_faults = 0
         self._memory_latency = constants.MEMORY_LATENCY_CYCLES
         self._l1_latency = constants.L1_HIT_LATENCY_CYCLES
         self._l2_latency = constants.L2_HIT_LATENCY_CYCLES
@@ -196,10 +195,6 @@ class MemoryHierarchy:
         #: attribution of faults to application structures (see
         #: repro.harness.vulnerability).
         self.fault_sites: "list[tuple[int, bool]]" = []
-        # Stall attribution (cycles), for reports and calibration tests.
-        self.stall_cycles_l1 = 0.0
-        self.stall_cycles_l2 = 0.0
-        self.stall_cycles_memory = 0.0
         #: Telemetry sink; NULL_TRACER keeps the hot paths event-free.
         self.tracer = NULL_TRACER
         #: Engine id stamped on emitted events (multicore sets it).
@@ -295,7 +290,6 @@ class MemoryHierarchy:
 
     def _on_l1_fill(self, line_address: int) -> None:
         self.processor.stall(self._l2_latency)
-        self.stall_cycles_l2 += self._l2_latency
         self.processor.energy.charge_l2_access()
         if self._l2_fill_fault_probability <= 0:
             return
@@ -310,11 +304,9 @@ class MemoryHierarchy:
                 byte = self.l1d.poke_read(line_address + offset, 1)[0]
                 self.l1d.poke(line_address + offset,
                               bytes([byte ^ (1 << (bit % 8))]))
-                self.l2_fill_faults += 1
 
     def _on_l2_fill(self, line_address: int) -> None:
         self.processor.stall(self._memory_latency)
-        self.stall_cycles_memory += self._memory_latency
 
     def _on_l1_line_leaves(self, line_address: int) -> None:
         # Writeback traffic: energy for the L2 update; off the critical path.
@@ -352,9 +344,7 @@ class MemoryHierarchy:
         if is_write:
             self.processor.energy.l1d += self.l1_write_energy
             return
-        stall = self.l1_read_stall
-        self.processor.cycles += stall
-        self.stall_cycles_l1 += stall
+        self.processor.cycles += self.l1_read_stall
         self.processor.energy.l1d += self.l1_read_energy
 
     @staticmethod
@@ -474,7 +464,6 @@ class MemoryHierarchy:
                     continue
                 fresh = self.l2.read(word, 4)
                 self.processor.stall(self._l2_latency)
-                self.stall_cycles_l2 += self._l2_latency
                 self.processor.energy.charge_l2_access()
                 self.l1d.poke(word, fresh)
                 self.corruption.pop(word, None)

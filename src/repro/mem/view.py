@@ -83,9 +83,7 @@ def _load(width: int, doc: str) -> "Callable[[MemView, int], int]":
                             stats.read_hits += 1
                             if lease > 0:
                                 h.skip_lease = lease - 1
-                            stall = h.l1_read_stall
-                            h.processor.cycles += stall
-                            h.stall_cycles_l1 += stall
+                            h.processor.cycles += h.l1_read_stall
                             h.processor.energy.l1d += h.l1_read_energy
                             h.fast_reads += 1
                             offset = address - line_address

@@ -28,54 +28,3 @@ test:
 See docs/VERIFICATION.md for the invariant catalogue and how to add an
 invariant.
 """
-
-from repro.oracle.check import OracleReport, run_check
-from repro.oracle.differential import (
-    DIFFERENTIAL_PATHS,
-    Divergence,
-    compare_fault_statistics,
-    diff_results,
-    run_differential,
-)
-from repro.oracle.fuzz import (
-    CONFIG_SPACE,
-    ConfigFuzzer,
-    FuzzFailure,
-    FuzzReport,
-    build_config,
-    config_size,
-    replay_corpus_entry,
-    run_fuzz,
-    shrink_config,
-)
-from repro.oracle.invariants import (
-    INVARIANT_REGISTRY,
-    Invariant,
-    Violation,
-    check_invariants,
-    register_invariant,
-)
-
-__all__ = [
-    "CONFIG_SPACE",
-    "ConfigFuzzer",
-    "DIFFERENTIAL_PATHS",
-    "Divergence",
-    "FuzzFailure",
-    "FuzzReport",
-    "INVARIANT_REGISTRY",
-    "Invariant",
-    "OracleReport",
-    "Violation",
-    "build_config",
-    "check_invariants",
-    "compare_fault_statistics",
-    "config_size",
-    "diff_results",
-    "register_invariant",
-    "replay_corpus_entry",
-    "run_check",
-    "run_differential",
-    "run_fuzz",
-    "shrink_config",
-]

@@ -10,28 +10,3 @@ stream with a vectorized fault/recovery/energy pipeline
 resolves here (:mod:`repro.replay.backend`); configs the replayer
 cannot model fall back to faithful execution.
 """
-
-from repro.replay.backend import (
-    fallback_count,
-    fallback_reasons,
-    run_replay,
-    set_trace_store,
-    trace_store,
-)
-from repro.replay.record import RecordingError, record_trace
-from repro.replay.replayer import replay_trace
-from repro.replay.trace import Trace, TraceStore, trace_key
-
-__all__ = [
-    "RecordingError",
-    "Trace",
-    "TraceStore",
-    "fallback_count",
-    "fallback_reasons",
-    "record_trace",
-    "replay_trace",
-    "run_replay",
-    "set_trace_store",
-    "trace_key",
-    "trace_store",
-]

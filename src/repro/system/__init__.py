@@ -1,18 +1,1 @@
 """System-level models: multi-engine NPs and line-rate analysis."""
-
-from repro.system.linerate import (
-    QueueResult,
-    loss_curve,
-    simulate_queue,
-    sustainable_cycles_per_packet,
-)
-from repro.system.multicore import (
-    CoreResult,
-    MulticoreResult,
-    MulticoreSystem,
-    run_multicore,
-)
-
-__all__ = ["CoreResult", "MulticoreResult", "MulticoreSystem",
-           "QueueResult", "loss_curve", "run_multicore", "simulate_queue",
-           "sustainable_cycles_per_packet"]

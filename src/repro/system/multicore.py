@@ -128,9 +128,7 @@ class MulticoreSystem:
     def _on_l2_fill(self, line_address: int) -> None:
         engine = self._active_engine
         if engine is not None:
-            latency = constants.MEMORY_LATENCY_CYCLES
-            engine.env.processor.stall(latency)
-            engine.env.hierarchy.stall_cycles_memory += latency
+            engine.env.processor.stall(constants.MEMORY_LATENCY_CYCLES)
 
     # -- execution -------------------------------------------------------------
 

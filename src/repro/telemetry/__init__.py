@@ -21,52 +21,3 @@ everything from the CLI::
 
     python -m repro trace route --packets 200
 """
-
-from repro.telemetry.events import (
-    ALL_FIELD_NAMES,
-    EVENT_TYPES,
-    EpochBoundary,
-    FatalError,
-    FaultInjected,
-    FrequencySwitch,
-    PacketDone,
-    ParityStrike,
-    RecoveryFallback,
-    TraceEvent,
-    event_type_by_kind,
-    from_record,
-)
-from repro.telemetry.export import read_jsonl, write_csv, write_jsonl
-from repro.telemetry.metrics import CounterSet, FixedHistogram
-from repro.telemetry.report import (
-    epoch_report,
-    render_trace_report,
-    timeline_summary,
-)
-from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer
-
-__all__ = [
-    "ALL_FIELD_NAMES",
-    "CounterSet",
-    "EVENT_TYPES",
-    "EpochBoundary",
-    "FatalError",
-    "FaultInjected",
-    "FixedHistogram",
-    "FrequencySwitch",
-    "NULL_TRACER",
-    "NullTracer",
-    "PacketDone",
-    "ParityStrike",
-    "RecoveryFallback",
-    "TraceEvent",
-    "Tracer",
-    "epoch_report",
-    "event_type_by_kind",
-    "from_record",
-    "read_jsonl",
-    "render_trace_report",
-    "timeline_summary",
-    "write_csv",
-    "write_jsonl",
-]

@@ -7,17 +7,3 @@ helpers (fixed-width tables) can be used by both ``repro.telemetry``
 and ``repro.harness`` without creating an upward telemetry->harness
 dependency.
 """
-
-from repro.util.text import (
-    format_value,
-    render_bar_chart,
-    render_series,
-    render_table,
-)
-
-__all__ = [
-    "format_value",
-    "render_bar_chart",
-    "render_series",
-    "render_table",
-]

@@ -19,8 +19,8 @@ import sys
 import pytest
 
 import repro
-from repro.analysis import (
-    RULE_REGISTRY,
+from repro.analysis.base import RULE_REGISTRY
+from repro.analysis.engine import (
     lint_paths,
     lint_source,
     make_rules,

@@ -1,7 +1,7 @@
 """The public facade (repro.api): completeness, self-containment, lint."""
 
 import repro.api as api
-from repro.analysis import lint_source, make_rules
+from repro.analysis.engine import lint_source, make_rules
 
 
 def facade_findings(source):

@@ -1,6 +1,4 @@
-"""DVS comparison model and replica statistics."""
-
-import math
+"""DVS comparison model."""
 
 import pytest
 
@@ -9,7 +7,6 @@ from repro.core.dvs import (
     VoltageScalingModel,
     compare_techniques,
 )
-from repro.harness.stats import Summary, format_summary, summarize
 
 
 class TestVoltageScalingModel:
@@ -70,43 +67,3 @@ class TestTechniqueComparison:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             compare_techniques(0.0)
-
-
-class TestStats:
-    def test_mean_and_spread(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.stddev == pytest.approx(math.sqrt(5 / 3))
-        assert summary.count == 4
-        assert summary.low < 2.5 < summary.high
-
-    def test_single_value_degenerate(self):
-        summary = summarize([7.0])
-        assert summary.mean == 7.0
-        assert summary.confidence_halfwidth == 0.0
-
-    def test_interval_shrinks_with_replicas(self):
-        narrow = summarize([1.0, 1.1] * 10)
-        wide = summarize([1.0, 1.1])
-        assert narrow.confidence_halfwidth < wide.confidence_halfwidth
-
-    def test_overlap_logic(self):
-        a = Summary(count=3, mean=1.0, stddev=0.1,
-                    confidence_halfwidth=0.2)
-        b = Summary(count=3, mean=1.3, stddev=0.1,
-                    confidence_halfwidth=0.2)
-        c = Summary(count=3, mean=2.0, stddev=0.1,
-                    confidence_halfwidth=0.2)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_formatting(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        text = format_summary(summary)
-        assert "±" in text and text.startswith("2.000")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            summarize([])
-        with pytest.raises(ValueError):
-            summarize([1.0], confidence=1.5)

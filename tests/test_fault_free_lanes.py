@@ -53,14 +53,14 @@ from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import GeometricFaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
-from repro.replay import (
-    TraceStore,
+from repro.replay.backend import (
     fallback_count,
-    record_trace,
     run_replay,
     set_trace_store,
     trace_store,
 )
+from repro.replay.record import record_trace
+from repro.replay.trace import TraceStore
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
@@ -286,7 +286,6 @@ def lane_state(view) -> "dict[str, object]":
                    for line in ways] for ways in l1d.sets],
         "l2.stats": hierarchy.l2.stats,
         "cycles": hierarchy.processor.cycles,
-        "stall_cycles_l1": hierarchy.stall_cycles_l1,
         "corruption": hierarchy.corruption,
         "detected_faults": hierarchy.detected_faults,
         "injected_faults": hierarchy.injector.stats.total,

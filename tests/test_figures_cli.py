@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness import figures
 from repro.harness.cli import main
-from repro.harness.report import render_bar_chart
+from repro.util.text import render_bar_chart
 
 TINY = dict(packet_count=40, seeds=(3,))
 
@@ -148,7 +148,8 @@ class TestCli:
         assert "--backend" in capsys.readouterr().err
 
     def test_replay_backend_runs_simulated_experiment(self, capsys):
-        from repro.replay import TraceStore, set_trace_store
+        from repro.replay.backend import set_trace_store
+        from repro.replay.trace import TraceStore
 
         previous = set_trace_store(TraceStore())
         try:
@@ -159,12 +160,12 @@ class TestCli:
         assert "Figure 6" in capsys.readouterr().out
 
     def test_replay_fallbacks_summarised_by_reason(self, capsys):
-        from repro.replay import (
-            TraceStore,
+        from repro.replay.backend import (
+            FALLBACK_REASONS,
             fallback_count,
             set_trace_store,
         )
-        from repro.replay.backend import FALLBACK_REASONS
+        from repro.replay.trace import TraceStore
 
         previous = set_trace_store(TraceStore())
         before = fallback_count()
@@ -192,7 +193,8 @@ class TestCli:
                                                        capsys):
         # Traces live in process memory: the cache directory holds
         # results and nothing else.
-        from repro.replay import TraceStore, set_trace_store
+        from repro.replay.backend import set_trace_store
+        from repro.replay.trace import TraceStore
 
         previous = set_trace_store(TraceStore())
         try:

@@ -16,7 +16,7 @@ from repro.harness.experiment import (
     load_workload,
     run_experiment,
 )
-from repro.harness.report import format_value, render_series, render_table
+from repro.util.text import format_value, render_series, render_table
 
 
 class TestConfig:

@@ -8,7 +8,10 @@ defect predicate for the fuzzer -- and assert the mechanisms catch them,
 alongside the clean-path checks that the real simulator passes.
 """
 
+import importlib
 import json
+import pathlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -416,7 +419,17 @@ class TestCheck:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_harness_cli_refuses_check(self, capsys):
-        from repro.harness.cli import main as harness_main
-        assert harness_main(["check"]) == 2
-        assert "python -m repro check" in capsys.readouterr().err
+    def test_installed_script_runs_check(self, capsys):
+        # The console script must reach the oracle, as python -m repro
+        # does.  (tomllib is missing on Python 3.10, so read the line.)
+        pyproject = (pathlib.Path(__file__).resolve().parents[1]
+                     / "pyproject.toml").read_text()
+        match = re.search(r'^repro = "([\w.]+):(\w+)"$', pyproject,
+                          re.MULTILINE)
+        assert match is not None, "pyproject.toml has no repro script"
+        module, function = match.groups()
+        script = getattr(importlib.import_module(module), function)
+        with pytest.raises(SystemExit) as exited:
+            script(["check", "--help"])
+        assert exited.value.code == 0
+        assert "--fuzz-budget" in capsys.readouterr().out

@@ -27,19 +27,16 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.engine import CampaignEngine
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.replay import (
-    Trace,
-    TraceStore,
+from repro.replay.backend import (
     fallback_count,
     fallback_reasons,
-    record_trace,
-    replay_trace,
     run_replay,
     set_trace_store,
-    trace_key,
     trace_store,
 )
-from repro.replay.replayer import decline_reason
+from repro.replay.record import record_trace
+from repro.replay.replayer import decline_reason, replay_trace
+from repro.replay.trace import Trace, TraceStore, trace_key
 from tests.strategies import make_config
 
 #: Result fields whose equality defines "the same simulation outcome".

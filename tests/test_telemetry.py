@@ -8,28 +8,26 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import clear_golden_cache, run_experiment
 from repro.harness import tracecmd
 from repro.core.recovery import TWO_STRIKE
-from repro.telemetry import (
-    NULL_TRACER,
-    CounterSet,
+from repro.telemetry.events import (
+    EVENT_TYPES,
     EpochBoundary,
     FatalError,
     FaultInjected,
-    FixedHistogram,
     FrequencySwitch,
     PacketDone,
     ParityStrike,
     RecoveryFallback,
-    Tracer,
-    epoch_report,
     event_type_by_kind,
     from_record,
-    read_jsonl,
+)
+from repro.telemetry.export import read_jsonl, write_csv, write_jsonl
+from repro.telemetry.metrics import CounterSet, FixedHistogram
+from repro.telemetry.report import (
+    epoch_report,
     render_trace_report,
     timeline_summary,
-    write_csv,
-    write_jsonl,
 )
-from repro.telemetry.events import EVENT_TYPES
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 SAMPLE_EVENTS = [
     FrequencySwitch(cycle=10.0, engine=0, previous_cr=1.0, new_cr=0.25,

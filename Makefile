@@ -8,7 +8,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # reprolint: per-file AST invariant linter over src/repro (see
 # docs/LINTING.md).
@@ -30,7 +30,7 @@ check-deep:
 	PYTHONPATH=src $(PYTHON) -m repro check --deep
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The Figures 9-12 benchmark's own contract tests (about six minutes;
 # see perfbench/README.md).
@@ -42,21 +42,21 @@ perfbench:
 # code change that doesn't bump store.CODE_VERSION simulates only what
 # is missing (DESIGN.md section 9).
 artifacts:
-	$(PYTHON) -m repro all --cache-dir .repro-cache
+	PYTHONPATH=src $(PYTHON) -m repro all --cache-dir .repro-cache
 
 # One traced run with event-log export (see README "Telemetry & tracing").
 trace-demo:
-	$(PYTHON) -m repro trace crc --out traces
-	$(PYTHON) -m repro trace route --packets 200 --out traces
+	PYTHONPATH=src $(PYTHON) -m repro trace crc --out traces
+	PYTHONPATH=src $(PYTHON) -m repro trace route --packets 200 --out traces
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/overclocking_study.py route 150
-	$(PYTHON) examples/dynamic_adaptation.py
-	$(PYTHON) examples/custom_application.py
-	$(PYTHON) examples/operating_point.py route
-	$(PYTHON) examples/multicore_np.py
-	$(PYTHON) examples/avf_campaign.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/overclocking_study.py route 150
+	PYTHONPATH=src $(PYTHON) examples/dynamic_adaptation.py
+	PYTHONPATH=src $(PYTHON) examples/custom_application.py
+	PYTHONPATH=src $(PYTHON) examples/operating_point.py route
+	PYTHONPATH=src $(PYTHON) examples/multicore_np.py
+	PYTHONPATH=src $(PYTHON) examples/avf_campaign.py
 
 all: lint test check bench
 

@@ -12,18 +12,35 @@ boundary; the typed :class:`repro.mem.view.MemView` API guarantees natural
 alignment, so a straddling access indicates a corrupted address and raises
 :class:`repro.mem.errors.StraddlingAccessError` (which experiments convert
 into a fatal error).
+
+Two structures hold the resident lines.  ``sets`` keeps each set's ways,
+which decide the LRU victim and the flush order; ``lines`` indexes the
+same lines by line address, so a lookup is one ``dict.get`` rather than
+a scan of the set.  Filling, evicting, invalidating and flushing keep
+the two in step.  CPU word accesses (:meth:`Cache.read_word`,
+:meth:`Cache.write_word`, and the MemView fast lane) pack and unpack
+line bytes in place through :data:`WORD_CODECS`; line transfers between
+levels keep the bytes API (:meth:`Cache.read`, :meth:`Cache.write`).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 
 from repro.mem.backing import BackingStore
 from repro.mem.errors import StraddlingAccessError
 
 #: LRU victim key, hoisted so eviction does not build a closure per miss.
 _LINE_LAST_USE = operator.attrgetter("last_use")
+
+#: Little-endian unsigned codecs of the CPU word widths (1, 2, 4 bytes).
+#: ``unpack_from``/``pack_into`` work on a line's bytes in place: a read
+#: builds no slice, ``bytes`` or ``int.from_bytes`` round trip, a write
+#: no ``to_bytes`` string.
+WORD_CODECS: "dict[int, struct.Struct]" = {
+    1: struct.Struct("<B"), 2: struct.Struct("<H"), 4: struct.Struct("<I")}
 
 
 @dataclass
@@ -113,10 +130,12 @@ class Cache:
         self.num_sets = size // (line_size * associativity)
         self.lower = lower
         self.stats = CacheStatistics()
-        #: Per-set ways and the LRU clock.  Public: the fault-free fast
-        #: lane (repro.mem.view) performs its hit-only lookups inline;
-        #: treat as read-mostly internals elsewhere.
+        #: Per-set ways (LRU victim, flush order), the resident-line
+        #: index and the LRU clock.  Public: the fault-free fast lane
+        #: (repro.mem.view) performs its hit-only lookups inline; treat
+        #: as read-mostly internals elsewhere.
         self.sets: "list[list[CacheLine]]" = [[] for _ in range(self.num_sets)]
+        self.lines: "dict[int, CacheLine]" = {}
         self.clock = 0
         self._on_fill = on_fill
         self._on_writeback = on_writeback
@@ -145,12 +164,6 @@ class Cache:
 
     # -- lookup / fill ---------------------------------------------------------
 
-    def _find(self, set_index: int, tag: int) -> "CacheLine | None":
-        for line in self.sets[set_index]:
-            if line.tag == tag:
-                return line
-        return None
-
     def _lower_read_line(self, line_address: int) -> bytes:
         if isinstance(self.lower, Cache):
             return self.lower.read(line_address, self.line_size)
@@ -168,11 +181,12 @@ class Cache:
             return
         victim = min(ways, key=_LINE_LAST_USE)
         ways.remove(victim)
+        victim_address = (
+            (victim.tag * self.num_sets + set_index) * self.line_size)
+        del self.lines[victim_address]
         self.stats.evictions += 1
         if victim.dirty:
             self.stats.writebacks += 1
-            victim_address = (
-                (victim.tag * self.num_sets + set_index) * self.line_size)
             self._lower_write_line(victim_address, bytes(victim.data))
             if self._on_writeback is not None:
                 self._on_writeback(victim_address)
@@ -184,6 +198,7 @@ class Cache:
         line = CacheLine(tag=self._tag(line_address), data=data,
                          last_use=self.clock)
         self.sets[set_index].append(line)
+        self.lines[line_address] = line
         if self._on_fill is not None:
             self._on_fill(line_address)
         return line
@@ -193,21 +208,18 @@ class Cache:
         """Common hit/miss path; returns (line, offset-in-line, was_hit).
 
         One pass, as the MemView lane does it: the line address once, the
-        straddle check, then the clock tick and an inline scan of the set
-        (the slow path runs this for every access the lane declines).
+        straddle check, then the clock tick and one index lookup (the
+        slow path runs this for every access the lane declines).
         """
         line_size = self.line_size
         line_address = address & -line_size
         if line_address != (address + length - 1) & -line_size:
             raise self._straddling(address, length)
         self.clock = clock = self.clock + 1
-        line_index = line_address // line_size
-        num_sets = self.num_sets
-        tag = line_index // num_sets
-        for line in self.sets[line_index % num_sets]:
-            if line.tag == tag:
-                line.last_use = clock
-                return line, address - line_address, True
+        line = self.lines.get(line_address)
+        if line is not None:
+            line.last_use = clock
+            return line, address - line_address, True
         # The fill stamps the new line with the post-tick clock.
         return self._fill(line_address), address - line_address, False
 
@@ -230,6 +242,23 @@ class Cache:
         line.data[offset:offset + len(data)] = data
         line.dirty = True
 
+    def read_word(self, address: int, width: int) -> int:
+        """:meth:`read` of a 1-, 2- or 4-byte little-endian unsigned word."""
+        line, offset, hit = self._access_line(address, width)
+        self.stats.reads += 1
+        if hit:
+            self.stats.read_hits += 1
+        return WORD_CODECS[width].unpack_from(line.data, offset)[0]
+
+    def write_word(self, address: int, width: int, value: int) -> None:
+        """:meth:`write` of a 1-, 2- or 4-byte little-endian unsigned word."""
+        line, offset, hit = self._access_line(address, width)
+        self.stats.writes += 1
+        if hit:
+            self.stats.write_hits += 1
+        WORD_CODECS[width].pack_into(line.data, offset, value)
+        line.dirty = True
+
     # -- maintenance operations ---------------------------------------------------
 
     def poke(self, address: int, data: bytes) -> bool:
@@ -240,8 +269,7 @@ class Cache:
         """
         self._check_within_line(address, len(data))
         line_address = self.line_address(address)
-        line = self._find(self._set_index(line_address),
-                          self._tag(line_address))
+        line = self.lines.get(line_address)
         if line is None:
             return False
         offset = address - line_address
@@ -256,8 +284,7 @@ class Cache:
         """
         self._check_within_line(address, length)
         line_address = self.line_address(address)
-        line = self._find(self._set_index(line_address),
-                          self._tag(line_address))
+        line = self.lines.get(line_address)
         if line is None:
             raise KeyError(f"{self.name}: {address:#x} not resident")
         offset = address - line_address
@@ -265,9 +292,7 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident."""
-        line_address = self.line_address(address)
-        return self._find(self._set_index(line_address),
-                          self._tag(line_address)) is not None
+        return self.line_address(address) in self.lines
 
     def invalidate_line(self, address: int) -> bool:
         """Drop the line holding ``address`` *without* writing it back.
@@ -277,11 +302,10 @@ class Cache:
         the lower level.  Returns whether a line was actually dropped.
         """
         line_address = self.line_address(address)
-        set_index = self._set_index(line_address)
-        line = self._find(set_index, self._tag(line_address))
+        line = self.lines.pop(line_address, None)
         if line is None:
             return False
-        self.sets[set_index].remove(line)
+        self.sets[self._set_index(line_address)].remove(line)
         self.stats.invalidations += 1
         return True
 
@@ -302,8 +326,9 @@ class Cache:
                     if self._on_writeback is not None:
                         self._on_writeback(line_address)
             ways.clear()
+        self.lines.clear()
 
     @property
     def resident_lines(self) -> int:
         """Number of valid lines currently held (for tests)."""
-        return sum(len(ways) for ways in self.sets)
+        return len(self.lines)

@@ -39,7 +39,13 @@ cancel).
 
 Only CPU-initiated accesses draw faults; line fills and writebacks are
 assumed protected by the bus.  The hierarchy charges all latency (stall
-cycles) and energy to a :class:`repro.cpu.processor.Processor`.
+cycles) and energy to a :class:`repro.cpu.processor.Processor`.  A CPU
+access of 1, 2 or 4 bytes reaches its L1D line with one lookup in the
+cache's resident-line index and moves its value through the
+little-endian codecs of :data:`repro.mem.cache.WORD_CODECS`
+(:meth:`~repro.mem.cache.Cache.read_word`/``write_word``), the lookup
+and codecs the MemView lane uses; line transfers between levels stay
+byte strings.
 
 Fault-free fast lane
 --------------------
@@ -411,7 +417,7 @@ class MemoryHierarchy:
         error -- the crash case of paper Section 2.
         """
         try:
-            value = int.from_bytes(self.l1d.read(address, length), "little")
+            value = self.l1d.read_word(address, length)
         except StraddlingAccessError:
             self.wild_reads += 1
             self._charge_l1_access(is_write=False)
@@ -489,7 +495,8 @@ class MemoryHierarchy:
                     cr=self._cycle_time))
 
     def read(self, address: int, length: int) -> int:
-        """Read ``length`` bytes as a little-endian unsigned integer.
+        """Read ``length`` (1, 2 or 4) bytes as a little-endian unsigned
+        integer.
 
         Applies the configured detection/recovery policy.  Without
         detection the (possibly corrupted) value flows straight to the
@@ -532,7 +539,7 @@ class MemoryHierarchy:
     # -- write path -------------------------------------------------------------
 
     def write(self, address: int, value: int, length: int) -> None:
-        """Write ``value`` as ``length`` little-endian bytes.
+        """Write ``value`` as ``length`` (1, 2 or 4) little-endian bytes.
 
         A write fault corrupts the *stored* bytes; the check bits were
         generated from the intended value, so the affected words become
@@ -543,14 +550,13 @@ class MemoryHierarchy:
         if value < 0 or value >> (length * 8):
             raise ValueError(
                 f"value {value:#x} does not fit in {length} bytes")
-        data = value.to_bytes(length, "little")
         if self.skip_lease > 0:
             # Same contract as in read(): the fast lane declined, so the
             # outstanding lease must be returned before any draw below.
             self.injector.refund_skip_lease(self.skip_lease)
             self.skip_lease = 0
         try:
-            self.l1d.write(address, data)
+            self.l1d.write_word(address, length, value)
         except StraddlingAccessError:
             # A line-straddling store (corrupted pointer) is dropped, as a
             # store-buffer would squash a misaligned micro-op.

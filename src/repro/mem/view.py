@@ -19,9 +19,14 @@ the access covers is tracked as corrupted, a resident line-contained
 access is served right here in a single Python frame -- the dominant
 cost of simulating at the paper's fault rates is CPython call overhead,
 and this is the one place where flattening the layering pays for itself.
-The lane mutates only *public* state (``Cache.sets``/``clock``/``stats``,
-``Processor.cycles``, the hierarchy's lease and charge attributes) and is
-effect-for-effect identical to the full path; anything it cannot serve
+The lane finds the line with one ``Cache.lines.get`` on the L1D's
+resident-line index, moves a halfword or word through the shared
+little-endian codecs of ``repro.mem.cache.WORD_CODECS`` (a byte is one
+index), and mutates only *public* state (the line, ``Cache.clock`` and
+``stats``, ``Processor.cycles``, the hierarchy's lease and charge
+attributes); it is effect-for-effect identical to the full path, which
+reaches the same line through the same index and codecs
+(:meth:`repro.mem.cache.Cache.read_word`).  Anything it cannot serve
 -- no lease, a miss, a straddling or negative address, a non-skipping
 injector -- falls through to :meth:`MemoryHierarchy.read` / ``write``,
 which refunds the unspent lease to the injector before drawing for the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.mem.cache import WORD_CODECS
 from repro.mem.errors import MemoryAccessError
 from repro.mem.hierarchy import MemoryHierarchy
 
@@ -48,6 +54,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 def _load(width: int, doc: str) -> "Callable[[MemView, int], int]":
     """Build the ``width``-byte load accessor around the read fast lane."""
     last = width - 1
+    unpack_from = WORD_CODECS[width].unpack_from
 
     def load(self: "MemView", address: int) -> int:
         h = self.hierarchy
@@ -71,26 +78,22 @@ def _load(width: int, doc: str) -> "Callable[[MemView, int], int]":
                 line_size = l1d.line_size
                 line_address = address & -line_size
                 if width == 1 or line_address == (address + last) & -line_size:
-                    num_sets = l1d.num_sets
-                    line_index = line_address // line_size
-                    tag = line_index // num_sets
-                    for line in l1d.sets[line_index % num_sets]:
-                        if line.tag == tag:
-                            l1d.clock = clock = l1d.clock + 1
-                            line.last_use = clock
-                            stats = l1d.stats
-                            stats.reads += 1
-                            stats.read_hits += 1
-                            if lease > 0:
-                                h.skip_lease = lease - 1
-                            h.processor.cycles += h.l1_read_stall
-                            h.processor.energy.l1d += h.l1_read_energy
-                            h.fast_reads += 1
-                            offset = address - line_address
-                            if width == 1:
-                                return line.data[offset]
-                            return int.from_bytes(
-                                line.data[offset:offset + width], "little")
+                    line = l1d.lines.get(line_address)
+                    if line is not None:
+                        l1d.clock = clock = l1d.clock + 1
+                        line.last_use = clock
+                        stats = l1d.stats
+                        stats.reads += 1
+                        stats.read_hits += 1
+                        if lease > 0:
+                            h.skip_lease = lease - 1
+                        h.processor.cycles += h.l1_read_stall
+                        h.processor.energy.l1d += h.l1_read_energy
+                        h.fast_reads += 1
+                        if width == 1:
+                            return line.data[address - line_address]
+                        return unpack_from(line.data,
+                                           address - line_address)[0]
         if address < 0:
             raise MemoryAccessError(f"negative address {address:#x}")
         return h.read(address, width)
@@ -106,6 +109,7 @@ def _store(width: int, doc: str,
     """Build the ``width``-byte store accessor around the write fast lane."""
     last = width - 1
     mask = (1 << (8 * width)) - 1
+    pack_into = WORD_CODECS[width].pack_into
 
     def store(self: "MemView", address: int, value: int) -> None:
         h = self.hierarchy
@@ -128,28 +132,24 @@ def _store(width: int, doc: str,
                 line_size = l1d.line_size
                 line_address = address & -line_size
                 if width == 1 or line_address == (address + last) & -line_size:
-                    num_sets = l1d.num_sets
-                    line_index = line_address // line_size
-                    tag = line_index // num_sets
-                    for line in l1d.sets[line_index % num_sets]:
-                        if line.tag == tag:
-                            l1d.clock = clock = l1d.clock + 1
-                            line.last_use = clock
-                            stats = l1d.stats
-                            stats.writes += 1
-                            stats.write_hits += 1
-                            offset = address - line_address
-                            if width == 1:
-                                line.data[offset] = value
-                            else:
-                                line.data[offset:offset + width] = (
-                                    value.to_bytes(width, "little"))
-                            line.dirty = True
-                            if lease > 0:
-                                h.skip_lease = lease - 1
-                            h.processor.energy.l1d += h.l1_write_energy
-                            h.fast_writes += 1
-                            return
+                    line = l1d.lines.get(line_address)
+                    if line is not None:
+                        l1d.clock = clock = l1d.clock + 1
+                        line.last_use = clock
+                        stats = l1d.stats
+                        stats.writes += 1
+                        stats.write_hits += 1
+                        if width == 1:
+                            line.data[address - line_address] = value
+                        else:
+                            pack_into(line.data, address - line_address,
+                                      value)
+                        line.dirty = True
+                        if lease > 0:
+                            h.skip_lease = lease - 1
+                        h.processor.energy.l1d += h.l1_write_energy
+                        h.fast_writes += 1
+                        return
         if address < 0:
             raise MemoryAccessError(f"negative address {address:#x}")
         h.write(address, value, width)
@@ -197,7 +197,7 @@ class MemView:
             hazardous = injector.enabled and injector.scale != 0.0
             l1d = h.l1d
             line_size = l1d.line_size
-            num_sets = l1d.num_sets
+            lines = l1d.lines
             while start < total:
                 addr = address + start
                 line_address = addr & -line_size
@@ -209,12 +209,8 @@ class MemView:
                             h.cycle_time)
                     if lease < chunk:
                         break
-                line_index = line_address // line_size
-                tag = line_index // num_sets
-                for line in l1d.sets[line_index % num_sets]:
-                    if line.tag == tag:
-                        break
-                else:
+                line = lines.get(line_address)
+                if line is None:
                     break
                 l1d.clock = clock = l1d.clock + chunk
                 line.last_use = clock

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.backing import BackingStore
-from repro.mem.cache import Cache
+from repro.mem.cache import WORD_CODECS, Cache
 from repro.mem.errors import StraddlingAccessError
 
 
@@ -275,3 +275,109 @@ class TestAgainstReferenceModel:
             reference[address] = value
         cache.flush()
         assert store.read_block(0, 2048) == bytes(reference)
+
+
+def indexed_lines(cache):
+    """The lines ``cache.sets`` holds, keyed by their line address."""
+    return {(line.tag * cache.num_sets + set_index) * cache.line_size: line
+            for set_index, ways in enumerate(cache.sets) for line in ways}
+
+
+def assert_index_matches_sets(cache):
+    expected = indexed_lines(cache)
+    assert len(expected) == sum(len(ways) for ways in cache.sets)
+    assert cache.lines.keys() == expected.keys()
+    assert all(cache.lines[address] is line
+               for address, line in expected.items())
+    assert cache.resident_lines == len(expected)
+
+
+def assert_words_agree(cache):
+    """Every width at every in-line offset reads and writes what
+    ``poke_read`` shows."""
+    for line_address in list(cache.lines):
+        for width in WORD_CODECS:
+            for offset in range(cache.line_size - width + 1):
+                address = line_address + offset
+                stored = cache.poke_read(address, width)
+                assert cache.read_word(address, width) == int.from_bytes(
+                    stored, "little")
+                value = int.from_bytes(stored[::-1], "little") ^ offset
+                cache.write_word(address, width, value)
+                assert cache.poke_read(address, width) == value.to_bytes(
+                    width, "little")
+    assert_index_matches_sets(cache)
+
+
+ADDRESSES = st.integers(min_value=0, max_value=1023)
+CORES = st.integers(min_value=0, max_value=1)
+WIDTHS = st.sampled_from(sorted(WORD_CODECS))
+
+#: (operation, L1 index, address, width / length / bytes, word value)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("read_word"), CORES, ADDRESSES, WIDTHS, st.just(0)),
+    st.tuples(st.just("write_word"), CORES, ADDRESSES, WIDTHS,
+              st.integers(min_value=0, max_value=0xFFFFFFFF)),
+    st.tuples(st.just("read"), CORES, ADDRESSES,
+              st.integers(min_value=1, max_value=8), st.just(0)),
+    st.tuples(st.just("write"), CORES, ADDRESSES,
+              st.binary(min_size=1, max_size=8), st.just(0)),
+    st.tuples(st.just("poke"), CORES, ADDRESSES,
+              st.binary(min_size=1, max_size=4), st.just(0)),
+    st.tuples(st.just("invalidate"), CORES, ADDRESSES, st.just(1),
+              st.just(0)),
+    st.tuples(st.just("flush"), CORES, ADDRESSES, st.just(1), st.just(0)),
+)
+
+#: Topology -> associativity of each L1 over the one small L2.
+TOPOLOGIES = {"1-way": (1,), "2-way": (2,), "two-l1s-shared-l2": (2, 1)}
+
+
+class TestResidentLineIndex:
+    """``Cache.lines`` indexes exactly the lines ``Cache.sets`` holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(topology=st.sampled_from(sorted(TOPOLOGIES)),
+           operations=st.lists(OPERATIONS, max_size=120))
+    def test_index_tracks_sets_under_random_operations(self, topology,
+                                                       operations):
+        l2 = Cache("L2", 256, 32, 2, BackingStore(1024))
+        l1s = [Cache(f"L1-{core}", 64, 16, associativity, l2)
+               for core, associativity in enumerate(TOPOLOGIES[topology])]
+        for name, core, address, argument, value in operations:
+            cache = l1s[core % len(l1s)]
+            length = argument if isinstance(argument, int) else len(argument)
+            # Keep the access inside its line; straddles have their tests.
+            address = min(address, cache.line_address(address)
+                          + cache.line_size - length)
+            if name == "read_word":
+                word = cache.read_word(address, argument)
+                assert word == int.from_bytes(
+                    cache.poke_read(address, argument), "little")
+            elif name == "write_word":
+                value &= (1 << (8 * argument)) - 1
+                cache.write_word(address, argument, value)
+                assert cache.poke_read(address, argument) == value.to_bytes(
+                    argument, "little")
+            elif name == "read":
+                assert cache.read(address, argument) == cache.poke_read(
+                    address, argument)
+            elif name == "write":
+                cache.write(address, argument)
+                assert cache.poke_read(address, length) == argument
+            elif name == "poke":
+                resident = cache.contains(address)
+                assert cache.poke(address, argument) == resident
+                if resident:
+                    assert cache.poke_read(address, length) == argument
+            elif name == "invalidate":
+                resident = cache.contains(address)
+                assert cache.invalidate_line(address) == resident
+                assert not cache.contains(address)
+            else:
+                cache.flush()
+                assert not cache.lines
+            for level in (*l1s, l2):
+                assert_index_matches_sets(level)
+        for level in (*l1s, l2):
+            assert_words_agree(level)

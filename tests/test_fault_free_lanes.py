@@ -9,16 +9,22 @@ a lease of the schedule's fault-free gap.  Faulted replay pricing
 expands a trace's access slots only once a sampled fault needs them,
 and the fault law's integral is memoised per process.  Each test pins
 one of those equivalences, either against the slow path or against
-digests recorded before the fast lanes were used:
+recorded digests:
 
 * ``tests/golden/trace_digests.json``: every recorded trace array and
   its metadata;
 * ``tests/golden/replay_digests.json``: every ``run_replay`` result of
   crc's Figures 9-12 block, at the figures' fault scale and at one high
-  enough that the dynamic configs sample faults.
+  enough that the dynamic configs sample faults;
+* ``tests/golden/execute_digests.json``: every faulted ``geometric``
+  result of the same crc blocks run on ``execute``, and of md5's block,
+  whose bulk stores take the lane's ``write_bytes`` chunks.  The lane
+  twins below compare the lane with the slow path, which share their
+  line lookup and word codecs; these digests pin both to fixed values.
 
-Regenerate both (only for an intended change of the recorded stream or
-of replay pricing) from the repository root with::
+Regenerate all three (only for an intended change of the recorded
+stream, of replay pricing or of a faulted result) from the repository
+root with::
 
     PYTHONPATH=src python -m tests.test_fault_free_lanes
 """
@@ -65,6 +71,7 @@ from repro.replay.trace import TraceStore
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
 REPLAY_DIGESTS = GOLDEN_DIR / "replay_digests.json"
+EXECUTE_DIGESTS = GOLDEN_DIR / "execute_digests.json"
 
 #: Recorded workloads: every app, and a cache geometry other than the
 #: default direct-mapped 4 KB L1.
@@ -80,6 +87,14 @@ TRACE_WORKLOADS = {
 #: dynamic controller's 100-packet epoch.
 REPLAY_SCALES = (10.0, 200.0)
 REPLAY_PACKETS = 110
+
+#: Faulted ``geometric`` blocks run on ``execute``: name -> (app,
+#: packets, fault scale).  md5 stores its digests with ``write_bytes``.
+EXECUTE_BLOCKS = {
+    **{f"crc@{scale}": ("crc", REPLAY_PACKETS, scale)
+       for scale in REPLAY_SCALES},
+    "md5@200.0": ("md5", 30, 200.0),
+}
 
 
 def trace_digest(trace) -> str:
@@ -102,13 +117,14 @@ def trace_digest(trace) -> str:
     return digest.hexdigest()
 
 
-def replay_block(scale: float) -> "list[ExperimentConfig]":
-    """crc's Figures 9-12 block (policies x settings) on ``replay``."""
+def fig9_12_block(app: str, packets: int, scale: float,
+                  **options) -> "list[ExperimentConfig]":
+    """One app's Figures 9-12 block (policies x settings) at seed 7."""
     return [ExperimentConfig(
-        app="crc", packet_count=REPLAY_PACKETS, seed=7,
+        app=app, packet_count=packets, seed=7,
         cycle_time=1.0 if setting == "dynamic" else setting,
         dynamic=setting == "dynamic", policy=policy, fault_scale=scale,
-        backend="replay")
+        **options)
         for policy in ALL_POLICIES for setting in EDF_SETTINGS]
 
 
@@ -116,10 +132,18 @@ def replay_results() -> "dict[str, list[ExperimentResult]]":
     """Every replayed block's results, priced over freshly recorded traces."""
     previous = set_trace_store(TraceStore())
     try:
-        return {str(scale): run_replay(replay_block(scale))
-                for scale in REPLAY_SCALES}
+        return {str(scale): run_replay(fig9_12_block(
+            "crc", REPLAY_PACKETS, scale, backend="replay"))
+            for scale in REPLAY_SCALES}
     finally:
         set_trace_store(previous)
+
+
+def execute_results() -> "dict[str, list[ExperimentResult]]":
+    """Every faulted ``geometric`` block's results, run one by one."""
+    return {name: [run_experiment(config) for config in fig9_12_block(
+        app, packets, scale, injector="geometric")]
+        for name, (app, packets, scale) in EXECUTE_BLOCKS.items()}
 
 
 def result_digests(results: "dict[str, list[ExperimentResult]]",
@@ -502,6 +526,16 @@ def test_replay_results_match_recorded_digests():
     assert len(faulted) > fallbacks
 
 
+def test_execute_results_match_recorded_digests():
+    expected = json.loads(EXECUTE_DIGESTS.read_text())
+    results = execute_results()
+    assert result_digests(results) == expected
+    # Every block samples faults, and detects some of them.
+    for block in results.values():
+        assert sum(result.injected_faults for result in block) > 0
+        assert sum(result.detected_faults for result in block) > 0
+
+
 def _regenerate() -> None:
     TRACE_DIGESTS.write_text(json.dumps(
         {name: trace_digest(record_trace(config))
@@ -509,6 +543,8 @@ def _regenerate() -> None:
         indent=2, sort_keys=True) + "\n")
     REPLAY_DIGESTS.write_text(json.dumps(
         result_digests(replay_results()), indent=2, sort_keys=True) + "\n")
+    EXECUTE_DIGESTS.write_text(json.dumps(
+        result_digests(execute_results()), indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,8 @@ class TestFig6Route:
 
 class TestFig7Nat:
     def test_fig7(self, once, emit, campaign_engine):
-        text = once(figures.fig7_nat_errors, packet_count=PACKETS,
+        text = once(figures.render_error_behavior, "nat",
+                    "Figure 7: error probability", packet_count=PACKETS,
                     seeds=SEEDS, engine=campaign_engine)
         emit("fig7", text)
         assert "nat" in text

@@ -244,23 +244,26 @@ class TestReplayBackendThroughput:
     REPEATS = 5
 
     def test_replay_speedup_on_fig9_12_sweep(self, once, artifact_dir):
+        from repro.harness.config import FALLBACK_REASONS
         from repro.replay.backend import (
-            fallback_reasons,
             run_replay,
             set_trace_store,
             trace_store,
         )
         from repro.replay.trace import TraceStore
+        from repro.telemetry.metrics import CounterSet
 
         packets = int(os.environ.get("REPRO_THROUGHPUT_PACKETS", "60"))
         blocks = {backend: {app: _fig9_12_configs(app, packets, backend)
                             for app in NETBENCH_APPS}
                   for backend in ("execute", "replay")}
 
+        counters = CounterSet()
+
         def run(backend, app):
             started = time.perf_counter()
             if backend == "replay":
-                run_replay(blocks["replay"][app])
+                run_replay(blocks["replay"][app], counters)
             else:
                 for config in blocks["execute"][app]:
                     run_experiment(config)
@@ -271,14 +274,13 @@ class TestReplayBackendThroughput:
             try:
                 for app in NETBENCH_APPS:
                     trace_store().get_or_record(blocks["replay"][app][0])
-                reasons_before = fallback_reasons()
                 seconds = _rotating_rounds(
                     self.REPEATS, ("execute", "replay"), NETBENCH_APPS, run)
                 # Every round replays the same configs, so the fallbacks
                 # of one sweep are the total over the rounds.
-                reasons = {reason: (count - reasons_before[reason])
+                reasons = {reason: counters.get(f"replay.fallback.{reason}")
                            // self.REPEATS
-                           for reason, count in fallback_reasons().items()}
+                           for reason in FALLBACK_REASONS}
                 return seconds, reasons
             finally:
                 set_trace_store(previous)

@@ -75,7 +75,8 @@ class OperatingPointModel:
                 + profile.loads_per_packet * load_stall
                 + profile.l1_fills_per_packet
                 * constants.L2_HIT_LATENCY_CYCLES
-                + profile.l2_fills_per_packet * 100.0)
+                + profile.l2_fills_per_packet
+                * constants.MEMORY_LATENCY_CYCLES)
 
     def energy(self, cycle_time: float) -> float:
         """Predicted chip energy per packet at ``Cr``."""

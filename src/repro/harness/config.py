@@ -21,6 +21,12 @@ DEFAULT_FAULT_SCALE = 10.0
 #: (:mod:`repro.replay.backend`).
 BACKEND_NAMES = ("execute", "replay")
 
+#: Why a ``replay`` config falls back to faithful execution, each
+#: counted as ``replay.fallback.<reason>``: the static refusals of
+#: :func:`~repro.replay.replayer.decline_reason`, then ``"diverged"``
+#: (a sampled fault the replayer cannot bound).
+FALLBACK_REASONS = ("l2-fill", "burst", "diverged")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,6 +114,14 @@ class ExperimentConfig:
         if self.backend != "execute":
             label += f"/{self.backend}"
         return label
+
+    @property
+    def injector_seed(self) -> int:
+        """The fault injector's seed, derived from ``seed`` (not a field,
+        so it is not in the JSON form or the store key).  Execute, the
+        trace recorder and the replayer all seed from it, so seed
+        replicas decorrelate identically on both backends."""
+        return self.seed * 1_000_003 + 17
 
     def golden(self) -> "ExperimentConfig":
         """The fault-free reference variant of this configuration.

@@ -16,8 +16,9 @@ funnels through :class:`CampaignEngine`.  The engine:
    mode, it is the partition step doing its job;
 4. reports progress through the telemetry
    :class:`~repro.telemetry.metrics.CounterSet` (``campaign.configs``,
-   ``campaign.cache_hits``, ``campaign.simulated``, ``campaign.chunks``)
-   plus an optional ``progress`` callback.
+   ``campaign.cache_hits``, ``campaign.simulated``, ``campaign.chunks``,
+   and one ``replay.fallback.<reason>`` per replay config that fell
+   back to faithful execution) plus an optional ``progress`` callback.
 
 This is the one cached path from configs to results, and it honours
 each config's ``backend``.  A run with a tracer or a scripted injector
@@ -134,7 +135,8 @@ class CampaignEngine:
 
         The ``execute`` group keeps the process-pool fan-out; the
         ``replay`` group goes to the replay backend in one call (it
-        amortises trace loading across the batch).  Results come back
+        amortises trace loading across the batch), which counts its
+        fallbacks on this engine's counters.  Results come back
         index-aligned with ``configs``.
         """
         outcomes: "list[ExperimentResult | None]" = [None] * len(configs)
@@ -147,7 +149,7 @@ class CampaignEngine:
                 results = map_parallel(_worker, batch,
                                        max_workers=self.max_workers)
             else:
-                results = replay_backend().run_replay(batch)
+                results = replay_backend().run_replay(batch, self.counters)
             for index, result in zip(indices, results):
                 outcomes[index] = result
         return outcomes  # type: ignore[return-value]

@@ -207,7 +207,7 @@ def build_environment(config: ExperimentConfig, faulty: bool,
     """Construct one simulation stack (processor, hierarchy, allocator)."""
     injector = make_injector(
         config.injector,
-        model=FaultModel.calibrated(), seed=config.seed * 1_000_003 + 17,
+        model=FaultModel.calibrated(), seed=config.injector_seed,
         scale=config.fault_scale if faulty else 0.0,
         enabled=faulty,
         burst_start_probability=config.burst_start_probability,
@@ -272,9 +272,7 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
             packet_cycles.append(env.processor.cycles - cycles_before)
             if tracer.enabled:
                 tracer.emit(PacketDone(
-                    cycle=env.processor.cycles,
-                    engine=env.hierarchy.engine_id,
-                    packet_index=index,
+                    cycle=env.processor.cycles, packet_index=index,
                     packet_cycles=env.processor.cycles - cycles_before,
                     cr=env.hierarchy.cycle_time))
             if controller is not None:
@@ -291,7 +289,6 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
         if tracer.enabled:
             tracer.emit(FatalError(
                 cycle=env.processor.cycles,
-                engine=env.hierarchy.engine_id,
                 packet_index=fatal_index, reason=fatal_reason,
                 cr=env.hierarchy.cycle_time))
     env.processor.finalize()

@@ -198,18 +198,6 @@ def render_error_behavior(app: str, figure_name: str, **kwargs) -> str:
     return "\n\n".join(blocks)
 
 
-def fig6_route_errors(**kwargs) -> str:
-    """Figure 6: the route application's error behaviour."""
-    return render_error_behavior("route", "Figure 6: error probability",
-                                 **kwargs)
-
-
-def fig7_nat_errors(**kwargs) -> str:
-    """Figure 7: the nat application's error behaviour."""
-    return render_error_behavior("nat", "Figure 7: error probability",
-                                 **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Figure 8: fatal error probability by application and clock rate
 # ---------------------------------------------------------------------------
@@ -247,11 +235,6 @@ def fig8_fatal_probabilities(
                 offered += run.processed_packets + (1 if run.fatal else 0)
             results[app][cycle_time] = fatals / offered
     return results
-
-
-def render_fig8(**kwargs) -> str:
-    """Text artifact for Figure 8 (runs the simulations)."""
-    return render_fig8_from(fig8_fatal_probabilities(**kwargs))
 
 
 def render_fig8_from(data: "dict[str, dict[float, float]]") -> str:
@@ -377,18 +360,6 @@ def render_edf_cells(cells: "list[EdfCell]", app: str,
     return table + "\n\n" + chart
 
 
-def average_edf(
-    apps: "tuple[str, ...]" = NETBENCH_APPS, **kwargs,
-) -> "dict[tuple[str, object], float]":
-    """Figure 12(b): the across-application average of every bar."""
-    sums: "dict[tuple[str, object], list[float]]" = {}
-    for app in apps:
-        for cell in edf_products(app, **kwargs):
-            sums.setdefault((cell.policy, cell.setting), []).append(
-                cell.relative_product)
-    return {key: _mean(values) for key, values in sums.items()}
-
-
 def average_edf_from(cells_by_app: "dict[str, list[EdfCell]]",
                      ) -> "dict[tuple[str, object], float]":
     """Figure 12(b) aggregation over already-computed per-app cells."""
@@ -403,7 +374,8 @@ def average_edf_from(cells_by_app: "dict[str, list[EdfCell]]",
 def render_average_edf(apps: "tuple[str, ...]" = NETBENCH_APPS,
                        **kwargs) -> str:
     """Figure 12(b) artifact (runs the simulations)."""
-    return render_average_edf_from(average_edf(apps, **kwargs))
+    return render_average_edf_from(average_edf_from(
+        {app: edf_products(app, **kwargs) for app in apps}))
 
 
 def render_average_edf_from(data: "dict[tuple[str, object], float]") -> str:

@@ -203,8 +203,6 @@ class MemoryHierarchy:
         self.fault_sites: "list[tuple[int, bool]]" = []
         #: Telemetry sink; NULL_TRACER keeps the hot paths event-free.
         self.tracer = NULL_TRACER
-        #: Engine id stamped on emitted events (multicore sets it).
-        self.engine_id = 0
         #: Accesses served by the fault-free fast lane (aggregates; the
         #: lane itself stays event-free).
         self.fast_reads = 0
@@ -216,23 +214,20 @@ class MemoryHierarchy:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def attach_tracer(self, tracer, engine_id: int = 0) -> None:
-        """Route this hierarchy's events to a tracer, stamped ``engine_id``."""
+    def attach_tracer(self, tracer) -> None:
+        """Route this hierarchy's events to a tracer."""
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.engine_id = engine_id
 
     def _trace_fault(self, address: int, is_write: bool,
                      event: FaultEvent) -> None:
         self.tracer.emit(FaultInjected(
-            cycle=self.processor.cycles, engine=self.engine_id,
-            address=address, is_write=is_write,
+            cycle=self.processor.cycles, address=address, is_write=is_write,
             flip_count=event.flip_count,
             bit_positions=event.bit_positions, cr=self._cycle_time))
 
     def _trace_strike(self, address: int, attempt: int) -> None:
         self.tracer.emit(ParityStrike(
-            cycle=self.processor.cycles, engine=self.engine_id,
-            address=address,
+            cycle=self.processor.cycles, address=address,
             line_address=self.l1d.line_address(address),
             attempt=attempt, cr=self._cycle_time))
 
@@ -265,9 +260,8 @@ class MemoryHierarchy:
         self.processor.frequency_change_penalty()
         if self.tracer.enabled:
             self.tracer.emit(FrequencySwitch(
-                cycle=self.processor.cycles, engine=self.engine_id,
-                previous_cr=previous, new_cr=relative_cycle_time,
-                reason=reason))
+                cycle=self.processor.cycles, previous_cr=previous,
+                new_cr=relative_cycle_time, reason=reason))
 
     def _refresh_l1_charges(self) -> None:
         """Price one L1 access at the current clock, for both lanes.
@@ -477,8 +471,7 @@ class MemoryHierarchy:
                 refetched += 1
             if self.tracer.enabled:
                 self.tracer.emit(RecoveryFallback(
-                    cycle=self.processor.cycles, engine=self.engine_id,
-                    address=address,
+                    cycle=self.processor.cycles, address=address,
                     line_address=self.l1d.line_address(address),
                     action=self.policy.fallback_action, words=refetched,
                     cr=self._cycle_time))
@@ -488,8 +481,7 @@ class MemoryHierarchy:
             self._drop_corruption_in_line(self.l1d.line_address(address))
             if self.tracer.enabled:
                 self.tracer.emit(RecoveryFallback(
-                    cycle=self.processor.cycles, engine=self.engine_id,
-                    address=address,
+                    cycle=self.processor.cycles, address=address,
                     line_address=self.l1d.line_address(address),
                     action=self.policy.fallback_action, words=0,
                     cr=self._cycle_time))

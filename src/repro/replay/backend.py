@@ -3,18 +3,18 @@
 The harness reaches this module by name, through
 :func:`~repro.harness.experiment.replay_backend`, since replay sits
 above it in the layer DAG: the campaign engine hands it each chunk's
-``backend="replay"`` configs (:func:`run_replay`), the golden cache
-warms a workload's trace on a miss (:func:`warm`), and the CLI reports
-fallbacks (:func:`fallback_reasons`).  A batch of configs is served
-trace-first: each config's workload trace is
+``backend="replay"`` configs (:func:`run_replay`), and the golden
+cache warms a workload's trace on a miss (:func:`warm`).  A batch of
+configs is served trace-first: each config's workload trace is
 recorded (or fetched from the :class:`~repro.replay.trace.TraceStore`)
 and handed to :func:`~repro.replay.replayer.replay_trace`; configs the
 replayer declines -- a static refusal
 (:func:`~repro.replay.replayer.decline_reason`) or a sampled fault
 reaching a branched-on value -- fall back transparently to the
 faithful :func:`~repro.harness.experiment.run_experiment`, so the
-backend is *always correct* and merely usually fast.  Each fallback is
-counted under its reason (:func:`fallback_reasons`).
+backend is *always correct* and merely usually fast.  Each fallback
+bumps the caller's ``replay.fallback.<reason>`` counter (reasons in
+:data:`~repro.harness.config.FALLBACK_REASONS`).
 
 The module-level trace store is one in-memory memo per process.
 """
@@ -27,15 +27,6 @@ from repro.replay.replayer import decline_reason, replay_trace
 from repro.replay.trace import TraceStore
 
 _TRACE_STORE = TraceStore()
-
-#: Why a config falls back: the static refusals of
-#: :func:`~repro.replay.replayer.decline_reason`, then ``"diverged"``
-#: (a sampled fault the replayer cannot bound).
-FALLBACK_REASONS = ("l2-fill", "burst", "diverged")
-
-#: Fallbacks (configs the replayer declined) since process start, by
-#: reason -- observability for the perf lane and the oracle.
-_FALLBACKS = dict.fromkeys(FALLBACK_REASONS, 0)
 
 
 def trace_store() -> TraceStore:
@@ -65,32 +56,24 @@ def warm(config: ExperimentConfig) -> None:
     _TRACE_STORE.get_or_record(config)
 
 
-def fallback_reasons() -> "dict[str, int]":
-    """Replay requests served by faithful execution since process start,
-    per reason (every reason of :data:`FALLBACK_REASONS`, in order)."""
-    return dict(_FALLBACKS)
-
-
-def fallback_count() -> int:
-    """Replay requests served by faithful execution since process start."""
-    return sum(_FALLBACKS.values())
-
-
-def run_replay(
-        configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
+def run_replay(configs: "list[ExperimentConfig]",
+               counters: "CounterSet") -> "list[ExperimentResult]":
     """The backend entry point (index-aligned results).
 
     Each config replays over its workload's recorded trace; ``None``
     from the replayer (divergence or an unsupported fault mode) falls
-    back to faithful execution of that config alone, counted under its
-    reason.
+    back to faithful execution of that config alone, and bumps
+    ``counters``' ``replay.fallback.<reason>``.  ``counters`` is a
+    :class:`repro.telemetry.metrics.CounterSet`, named here only as a
+    string: the layer DAG keeps replay from importing telemetry.
     """
     results: "list[ExperimentResult]" = []
     for config in configs:
         trace = _TRACE_STORE.get_or_record(config)
         result = replay_trace(trace, config)
         if result is None:
-            _FALLBACKS[decline_reason(config) or "diverged"] += 1
+            reason = decline_reason(config) or "diverged"
+            counters.bump(f"replay.fallback.{reason}")
             result = run_experiment(config)
         results.append(result)
     return results

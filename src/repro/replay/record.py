@@ -211,7 +211,7 @@ def record_trace(config: ExperimentConfig) -> Trace:
     workload = load_workload(config)
     recorder = TraceRecorder()
     injector = GeometricFaultInjector(model=FaultModel.calibrated(),
-                                      seed=config.seed * 1_000_003 + 17,
+                                      seed=config.injector_seed,
                                       scale=0.0, enabled=False)
     processor = Processor()
     hierarchy = RecordingHierarchy(

@@ -273,9 +273,7 @@ class _SampledReplay:
         self.policy = config.policy
         self.energy_model = EnergyModel()
         self.fault_model = FaultModel.calibrated()
-        # The execute backend seeds its injector from the same
-        # expression, so seed replicas decorrelate identically.
-        self.rng = np.random.default_rng(config.seed * 1_000_003 + 17)
+        self.rng = np.random.default_rng(config.injector_seed)
         self.slot_starts = _packet_slot_starts(trace).tolist()
         #: Per-slot arrays, built by the first sampled fault (most
         #: priced configs sample none).

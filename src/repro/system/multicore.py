@@ -49,8 +49,6 @@ from repro.mem.faults import FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy, weak_callback
 from repro.mem.view import MemView
 from repro.core import constants
-from repro.telemetry.events import FatalError, PacketDone
-from repro.telemetry.tracer import NULL_TRACER
 
 #: First usable address of each engine's private slice (0 stays null).
 SLICE_BASE_OFFSET = 0x1000
@@ -86,14 +84,9 @@ class MulticoreSystem:
         cycle_time: float = 1.0,
         fault_scale: float = 0.0,
         seed: int = 7,
-        tracer: "object | None" = None,
     ) -> None:
-        """``tracer`` receives every engine's events, stamped with the
-        engine id; timestamps are monotone *per engine* (each engine has
-        its own cycle counter), not globally."""
         if core_count < 1:
             raise ValueError("need at least one engine")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         slice_size = SYSTEM_MEMORY_BYTES // core_count
         if slice_size <= SLICE_BASE_OFFSET:
             raise ValueError("memory too small for the engine count")
@@ -115,7 +108,6 @@ class MulticoreSystem:
             hierarchy = MemoryHierarchy(
                 processor, injector, policy=policy, cycle_time=cycle_time,
                 shared_l2=self.l2, shared_memory=self.memory)
-            hierarchy.attach_tracer(self.tracer, engine_id=index)
             base = index * slice_size + SLICE_BASE_OFFSET
             allocator = BumpAllocator(base, slice_size - SLICE_BASE_OFFSET)
             env = Environment(processor=processor, hierarchy=hierarchy,
@@ -149,30 +141,14 @@ class MulticoreSystem:
             if not engine.alive:
                 continue
             self._active_engine = engine
-            cycles_before = engine.env.processor.cycles
             try:
                 engine.observations.append(
                     engine.app.run_packet(packet, index))
-                if self.tracer.enabled:
-                    cycles = engine.env.processor.cycles
-                    self.tracer.emit(PacketDone(
-                        cycle=cycles, engine=engine.index,
-                        packet_index=index,
-                        packet_cycles=cycles - cycles_before,
-                        cr=engine.env.hierarchy.cycle_time))
             except (FatalExecutionError, MemoryAccessError) as exc:
                 engine.fatal_reason = f"{type(exc).__name__}: {exc}"
-                if self.tracer.enabled:
-                    self.tracer.emit(FatalError(
-                        cycle=engine.env.processor.cycles,
-                        engine=engine.index,
-                        packet_index=len(engine.observations),
-                        reason=engine.fatal_reason,
-                        cr=engine.env.hierarchy.cycle_time))
         self._active_engine = None
         for engine in self.engines:
             engine.env.processor.finalize()
-        self.tracer.finish()
 
 
 @dataclass(frozen=True)
@@ -249,26 +225,24 @@ def run_multicore(
     policy: RecoveryPolicy = NO_DETECTION,
     cycle_time: float = 1.0,
     fault_scale: float = 0.0,
-    tracer: "object | None" = None,
 ) -> MulticoreResult:
     """Golden-vs-faulty comparison of an N-engine system.
 
     The golden system is constructed identically (same seeds, same
     dispatch) with fault injection disabled, so per-engine observations
-    align packet for packet.  ``tracer`` observes only the faulty system.
+    align packet for packet.
     """
     workload = make_workload(app, packet_count, seed)
 
-    def build_and_run(scale: float,
-                      system_tracer: "object | None") -> MulticoreSystem:
+    def build_and_run(scale: float) -> MulticoreSystem:
         system = MulticoreSystem(workload, core_count, policy=policy,
                                  cycle_time=cycle_time, fault_scale=scale,
-                                 seed=seed, tracer=system_tracer)
+                                 seed=seed)
         system.run()
         return system
 
-    golden = build_and_run(0.0, None)
-    faulty = build_and_run(fault_scale, tracer)
+    golden = build_and_run(0.0)
+    faulty = build_and_run(fault_scale)
     for engine in golden.engines:
         if engine.fatal_reason is not None:
             raise RuntimeError(

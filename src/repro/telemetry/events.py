@@ -2,7 +2,8 @@
 
 Every event carries a ``cycle`` timestamp (the emitting engine's processor
 cycle count at emission time, so timestamps are monotone per engine), the
-``engine`` id (0 for single-engine experiments), and -- where it is
+``engine`` id (always 0: only single-engine experiments are traced, and
+the field stays a column of the exported logs), and -- where it is
 meaningful -- the relative cycle time ``cr`` of the L1 data cache at the
 moment of the event.  Together the seven event types make the paper's
 causal chain inspectable: which access faulted, whether parity caught it,

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from repro.harness.cli import _experiment_renderers
+from repro.harness.cli import ARTIFACTS
 
 ROOT = pathlib.Path(__file__).parent.parent
 DESIGN = (ROOT / "DESIGN.md").read_text()
@@ -29,7 +29,10 @@ class TestExperimentIndex:
 
     @pytest.mark.parametrize("experiment_id", PAPER_IDS)
     def test_paper_artifact_has_cli_renderer(self, experiment_id):
-        assert experiment_id in _experiment_renderers()
+        assert experiment_id in ARTIFACTS
+
+    def test_cli_renders_exactly_the_paper_artifacts(self):
+        assert set(ARTIFACTS) == set(PAPER_IDS)
 
     def test_design_bench_references_exist(self):
         # Every benchmarks/<file>.py DESIGN.md references must exist.

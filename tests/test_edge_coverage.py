@@ -1,9 +1,8 @@
-"""Edge coverage: narrow-access corruption mapping, CLI extensions,
-and result accessors."""
+"""Edge coverage: narrow-access corruption mapping and result
+accessors."""
 
 import pytest
 
-from repro.harness.cli import main
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
 from repro.mem.faults import FaultEvent
@@ -75,17 +74,3 @@ class TestResultAccessors:
             injected_faults=0, error_runs=(2, 3))
         assert result.mean_error_persistence == 2.5
 
-
-class TestCliExtensions:
-    def test_ext_dvs(self, capsys):
-        assert main(["ext_dvs"]) == 0
-        assert "DVS" in capsys.readouterr().out
-
-    def test_ext_anatomy_small(self, capsys):
-        assert main(["ext_anatomy", "--packets", "40", "--seeds", "3"]) == 0
-        assert "Fault anatomy" in capsys.readouterr().out
-
-    def test_ext_multicore_small(self, capsys):
-        assert main(["ext_multicore", "--packets", "24",
-                     "--seeds", "3"]) == 0
-        assert "engines" in capsys.readouterr().out

@@ -43,7 +43,7 @@ from repro.core.noise import NoiseImmunityModel, failure_probability
 from repro.core.recovery import ALL_POLICIES, EXTENSION_POLICIES, TWO_STRIKE
 from repro.cpu.processor import Processor
 from repro.harness import experiment
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import FALLBACK_REASONS, ExperimentConfig
 from repro.harness.experiment import (
     ExperimentResult,
     clear_golden_cache,
@@ -59,14 +59,10 @@ from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import GeometricFaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
-from repro.replay.backend import (
-    fallback_count,
-    run_replay,
-    set_trace_store,
-    trace_store,
-)
+from repro.replay.backend import run_replay, set_trace_store, trace_store
 from repro.replay.record import record_trace
 from repro.replay.trace import TraceStore
+from repro.telemetry.metrics import CounterSet
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 TRACE_DIGESTS = GOLDEN_DIR / "trace_digests.json"
@@ -128,12 +124,14 @@ def fig9_12_block(app: str, packets: int, scale: float,
         for policy in ALL_POLICIES for setting in EDF_SETTINGS]
 
 
-def replay_results() -> "dict[str, list[ExperimentResult]]":
-    """Every replayed block's results, priced over freshly recorded traces."""
+def replay_results(
+        counters: CounterSet) -> "dict[str, list[ExperimentResult]]":
+    """Every replayed block's results, priced over freshly recorded traces
+    (fallbacks counted on ``counters``)."""
     previous = set_trace_store(TraceStore())
     try:
         return {str(scale): run_replay(fig9_12_block(
-            "crc", REPLAY_PACKETS, scale, backend="replay"))
+            "crc", REPLAY_PACKETS, scale, backend="replay"), counters)
             for scale in REPLAY_SCALES}
     finally:
         set_trace_store(previous)
@@ -514,9 +512,10 @@ class TestMemoisedFaultLaw:
 
 def test_replay_results_match_recorded_digests():
     expected = json.loads(REPLAY_DIGESTS.read_text())
-    fallbacks_before = fallback_count()
-    results = replay_results()
-    fallbacks = fallback_count() - fallbacks_before
+    counters = CounterSet()
+    results = replay_results(counters)
+    fallbacks = sum(counters.get(f"replay.fallback.{reason}")
+                    for reason in FALLBACK_REASONS)
     assert result_digests(results) == expected
     # The blocks fence the faulted lane's RNG stream: faults are sampled
     # on dynamic configs too, and more configs fault than fall back.
@@ -542,7 +541,8 @@ def _regenerate() -> None:
          for name, config in sorted(TRACE_WORKLOADS.items())},
         indent=2, sort_keys=True) + "\n")
     REPLAY_DIGESTS.write_text(json.dumps(
-        result_digests(replay_results()), indent=2, sort_keys=True) + "\n")
+        result_digests(replay_results(CounterSet())), indent=2,
+        sort_keys=True) + "\n")
     EXECUTE_DIGESTS.write_text(json.dumps(
         result_digests(execute_results()), indent=2, sort_keys=True) + "\n")
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import figures
-from repro.harness.cli import main
+from repro.harness.cli import _render_job, main
 from repro.util.text import render_bar_chart
 
 TINY = dict(packet_count=40, seeds=(3,))
@@ -160,15 +160,10 @@ class TestCli:
         assert "Figure 6" in capsys.readouterr().out
 
     def test_replay_fallbacks_summarised_by_reason(self, capsys):
-        from repro.replay.backend import (
-            FALLBACK_REASONS,
-            fallback_count,
-            set_trace_store,
-        )
+        from repro.replay.backend import set_trace_store
         from repro.replay.trace import TraceStore
 
         previous = set_trace_store(TraceStore())
-        before = fallback_count()
         try:
             # Seed 7 makes 4 fig9a configs diverge at 20 packets.
             assert main(["fig9a", "--backend", "replay", "--packets", "20",
@@ -177,12 +172,32 @@ class TestCli:
             set_trace_store(previous)
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("replay fallbacks: ")]
-        assert len(lines) == 1
-        counts = dict(pair.split("=")
-                      for pair in lines[0].split(": ", 1)[1].split())
-        assert tuple(counts) == FALLBACK_REASONS
-        assert sum(map(int, counts.values())) == fallback_count() - before
-        assert fallback_count() > before
+        assert lines == ["replay fallbacks: l2-fill=0 burst=0 diverged=4"]
+
+    def test_render_job_counts_fallbacks_on_the_engine(self):
+        # ``all --max-workers N`` sums these snapshots across processes.
+        from repro.replay.backend import set_trace_store
+        from repro.replay.trace import TraceStore
+
+        previous = set_trace_store(TraceStore())
+        try:
+            text, counters = _render_job(
+                ("fig9a", 20, (7,), None, 1, "reference", "replay"))
+        finally:
+            set_trace_store(previous)
+        assert text.startswith("Figure 9(a)")
+        assert counters["replay.fallback.diverged"] == 4
+        assert "replay.fallback.burst" not in counters
+
+    @pytest.mark.parametrize("experiment", [
+        "ext_dvs", "ext_optimum", "ext_multicore", "ext_anatomy"])
+    def test_extension_studies_are_not_cli_ids(self, experiment, capsys):
+        # The extension studies are benches (``make bench``), not
+        # artifacts of the paper.
+        with pytest.raises(SystemExit) as exit_info:
+            main([experiment])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_execute_backend_prints_no_fallback_line(self, capsys):
         assert main(["fig9a", "--backend", "execute", "--packets", "20",

@@ -142,8 +142,8 @@ class TestDifferential:
 
         real = replay_backend.run_replay
 
-        def tampered(configs):
-            results = real(configs)
+        def tampered(configs, counters):
+            results = real(configs, counters)
             return [replace(result,
                             instructions=result.instructions + 1)
                     for result in results]

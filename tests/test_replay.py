@@ -27,16 +27,11 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.engine import CampaignEngine
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.replay.backend import (
-    fallback_count,
-    fallback_reasons,
-    run_replay,
-    set_trace_store,
-    trace_store,
-)
+from repro.replay.backend import run_replay, set_trace_store, trace_store
 from repro.replay.record import record_trace
 from repro.replay.replayer import decline_reason, replay_trace
 from repro.replay.trace import Trace, TraceStore, trace_key
+from repro.telemetry.metrics import CounterSet
 from tests.strategies import make_config
 
 #: Result fields whose equality defines "the same simulation outcome".
@@ -62,11 +57,9 @@ def _fault_free(**overrides) -> ExperimentConfig:
     return make_config(fault_scale=0.0, **overrides)
 
 
-def _fallbacks_since(before: "dict[str, int]") -> "dict[str, int]":
-    """Fallbacks counted since ``before``, by reason (nonzero only)."""
-    after = fallback_reasons()
-    return {reason: after[reason] - before[reason] for reason in after
-            if after[reason] != before[reason]}
+def _replay(configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
+    """``run_replay`` with a throwaway counter set."""
+    return run_replay(configs, CounterSet())
 
 
 def _assert_same_trace(first: Trace, second: Trace) -> None:
@@ -113,34 +106,34 @@ class TestReplayExactTwin:
                                                overrides):
         config = _fault_free(**overrides)
         executed = run_experiment(config)
-        replayed = run_replay([config.with_options(backend="replay")])[0]
+        replayed = _replay([config.with_options(backend="replay")])[0]
         assert _outcome(replayed) == _outcome(executed)
 
     def test_zero_scale_with_planes_is_exact(self, scratch_store):
         config = _fault_free(planes="both")
         executed = run_experiment(config)
-        replayed = run_replay([config.with_options(backend="replay")])[0]
+        replayed = _replay([config.with_options(backend="replay")])[0]
         assert _outcome(replayed) == _outcome(executed)
 
     def test_no_planes_at_nonzero_scale_is_exact(self, scratch_store):
         config = make_config(planes="none", fault_scale=30.0)
         executed = run_experiment(config)
-        replayed = run_replay([config.with_options(backend="replay")])[0]
+        replayed = _replay([config.with_options(backend="replay")])[0]
         assert _outcome(replayed) == _outcome(executed)
 
     def test_faulted_replay_is_seed_deterministic(self, scratch_store):
         config = make_config(backend="replay")
-        first = run_replay([config])[0]
-        second = run_replay([config])[0]
+        first = _replay([config])[0]
+        second = _replay([config])[0]
         assert _outcome(first) == _outcome(second)
 
     def test_l2_fill_faults_fall_back_to_execute(self, scratch_store):
         config = make_config(l2_fill_fault_probability=0.05,
                              backend="replay")
         assert decline_reason(config) == "l2-fill"
-        before = fallback_reasons()
-        replayed = run_replay([config])[0]
-        assert _fallbacks_since(before) == {"l2-fill": 1}
+        counters = CounterSet()
+        replayed = run_replay([config], counters)[0]
+        assert counters.snapshot() == {"replay.fallback.l2-fill": 1}
         executed = run_experiment(config.with_options(backend="execute"))
         assert _outcome(replayed) == _outcome(executed)
 
@@ -150,9 +143,9 @@ class TestReplayExactTwin:
         assert decline_reason(config) == "burst"
         trace = scratch_store.get_or_record(config)
         assert replay_trace(trace, config) is None
-        before = fallback_reasons()
-        run_replay([config.with_options(backend="replay")])
-        assert _fallbacks_since(before) == {"burst": 1}
+        counters = CounterSet()
+        run_replay([config.with_options(backend="replay")], counters)
+        assert counters.snapshot() == {"replay.fallback.burst": 1}
 
     def test_diverged_faults_fall_back_to_execute(self, scratch_store):
         # Control-plane faults corrupt the tables the kernel branches
@@ -162,20 +155,11 @@ class TestReplayExactTwin:
         assert decline_reason(config) is None
         trace = scratch_store.get_or_record(config)
         assert replay_trace(trace, config) is None
-        before = fallback_reasons()
-        replayed = run_replay([config])[0]
-        assert _fallbacks_since(before) == {"diverged": 1}
+        counters = CounterSet()
+        replayed = run_replay([config], counters)[0]
+        assert counters.snapshot() == {"replay.fallback.diverged": 1}
         executed = run_experiment(config.with_options(backend="execute"))
         assert _outcome(replayed) == _outcome(executed)
-
-    def test_fallback_count_sums_the_reasons(self, scratch_store):
-        run_replay([make_config(burst_start_probability=0.01,
-                                burst_length=5, burst_multiplier=10.0,
-                                backend="replay"),
-                    make_config(backend="replay")])
-        reasons = fallback_reasons()
-        assert tuple(reasons) == ("l2-fill", "burst", "diverged")
-        assert fallback_count() == sum(reasons.values())
 
 
 class TestBackendPlumbing:
